@@ -31,8 +31,10 @@ pub const SERVE: &str = "isi-serve/v1";
 /// published) and `compactions` (stack folds past `max_runs`); v6
 /// added the adaptive-dispatch axis — `config.adapts` (policy modes
 /// swept) and `config.retune_interval`, each cell records its `adapt`
-/// mode plus the `retunes` counter and per-shard `final_groups`).
-pub const SERVE_MIXED: &str = "isi-serve-mixed/v6";
+/// mode plus the `retunes` counter and per-shard `final_groups`; v7
+/// removed that axis and its columns again, together with adaptive
+/// dispatch itself).
+pub const SERVE_MIXED: &str = "isi-serve-mixed/v7";
 
 #[cfg(test)]
 mod tests {

@@ -19,12 +19,10 @@
 //! | [`queue`] | bounded admission queue: no lost wakeup / deadlock at backpressure |
 //! | [`wal`] | WAL group commit + snapshot-truncate: acked ⇒ durable, frontier monotone |
 //! | [`metrics`] | registry snapshot ordering: read ≤-side first ⇒ `syncs ≤ records` |
-//! | [`policy`] | `PolicyCell` retune publish: per-run snapshots never torn, groups in clamps |
 //!
 //! [`epoch::torn_publish`], [`wal::truncate_before_snapshot_sync`],
-//! [`metrics::snapshot_reads_records_first`],
-//! [`runs::oldest_run_wins`] and [`policy::split_policy_publish`] are
-//! **known-bad** models kept as calibration targets: the test suite
+//! [`metrics::snapshot_reads_records_first`] and
+//! [`runs::oldest_run_wins`] are **known-bad** models kept as calibration targets: the test suite
 //! asserts the explorer *finds* their violations and that the printed
 //! seeds replay them.
 
@@ -32,7 +30,6 @@ pub mod cache;
 pub mod epoch;
 pub mod merge;
 pub mod metrics;
-pub mod policy;
 pub mod queue;
 pub mod runs;
 pub mod wal;

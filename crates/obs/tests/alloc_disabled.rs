@@ -11,21 +11,36 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use isi_obs::{Obs, Stage, TraceKind};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set only on the thread inside [`count_allocs`]: everything the
+    /// counted sections exercise runs on the calling thread, and the
+    /// test harness's own threads (which report a finished test while
+    /// the next one counts) must not be charged to it.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Is the allocating thread inside a counted section? A const,
+/// drop-free thread local, so the check itself never allocates.
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 // SAFETY: pure pass-through to the `System` allocator (which upholds
-// the GlobalAlloc contract); the only addition is a relaxed counter
-// bump, which allocates nothing and cannot unwind.
+// the GlobalAlloc contract); the only additions are a const
+// thread-local read and a relaxed counter bump, which allocate
+// nothing and cannot unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: same contract as ours; layout is forwarded verbatim.
@@ -37,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: `ptr`/`layout` came from our pass-through `alloc`;
@@ -56,9 +71,9 @@ static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// Count allocations during `f`.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     let r = f();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     (ALLOCS.load(Ordering::SeqCst), r)
 }
 

@@ -76,96 +76,10 @@ pub fn autotune_group_size<K: SearchKey, M: IndexedMem<K> + Copy>(
     TuneResult { best_group, curve }
 }
 
-/// Scale a calibrated group size by an observed *density*: the
-/// fraction of probes that will not stall on memory and therefore
-/// contribute no miss for interleaving to hide. Two producers of that
-/// number exist today: the serve path's per-shard delta-decided
-/// fraction (planned keys never reach the engine — see
-/// `LookupService::suggested_groups` in `isi_serve`) and the adaptive
-/// backend's cache-residency hint rate
-/// ([`hint_density`](crate::adaptive::hint_density)).
-///
-/// A group of `G` streams exists to keep `G` misses in flight; if a
-/// fraction `density` of probes complete without missing, only
-/// `G · (1 − density)` streams do useful overlapping, so the group
-/// shrinks proportionally (never below 1, never above `calibrated` —
-/// §5.4.5's cache-conflict ceiling still applies).
-///
-/// `density` outside `[0, 1]` (including NaN) is clamped.
-pub fn group_for_density(calibrated: usize, density: f64) -> usize {
-    assert!(calibrated >= 1, "calibrated group must be at least 1");
-    let density = if density.is_nan() {
-        0.0
-    } else {
-        density.clamp(0.0, 1.0)
-    };
-    let scaled = (calibrated as f64 * (1.0 - density)).ceil() as usize;
-    scaled.clamp(1, calibrated)
-}
-
-/// Delta-decided density from raw counters: the fraction of probed
-/// keys the plan stage answered out of the delta (`delta_hits`) of all
-/// keys that entered the lookup path (`delta_hits + engine_lookups`).
-///
-/// The zero-denominator case — an empty-main shard that has served no
-/// reads yet, or a window with no read traffic — returns `0.0`
-/// ("assume misses"), so [`group_for_density`] keeps the calibrated
-/// group instead of receiving a NaN from `0 / 0`. Every consumer of a
-/// counter-derived density (`LookupService::suggested_groups`, the
-/// retune controller) must come through here rather than dividing
-/// inline.
-pub fn density_for_counts(delta_hits: u64, engine_lookups: u64) -> f64 {
-    let total = delta_hits + engine_lookups;
-    if total == 0 {
-        0.0
-    } else {
-        delta_hits as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use isi_core::mem::DirectMem;
-
-    #[test]
-    fn density_scales_the_calibrated_group() {
-        // Nothing cached: the calibration stands.
-        assert_eq!(group_for_density(8, 0.0), 8);
-        // Everything answered before the engine: interleaving buys
-        // nothing, fall to a single stream.
-        assert_eq!(group_for_density(8, 1.0), 1);
-        // Half the probes miss: half the streams still pay.
-        assert_eq!(group_for_density(8, 0.5), 4);
-        // Ceil keeps a fractional residual stream alive.
-        assert_eq!(group_for_density(6, 0.9), 1);
-        assert_eq!(group_for_density(10, 0.85), 2);
-        // Out-of-range and NaN densities clamp instead of panicking.
-        assert_eq!(group_for_density(8, -3.0), 8);
-        assert_eq!(group_for_density(8, 7.0), 1);
-        assert_eq!(group_for_density(8, f64::NAN), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "calibrated group")]
-    fn zero_calibrated_group_rejected() {
-        group_for_density(0, 0.5);
-    }
-
-    #[test]
-    fn counter_density_handles_the_extremes() {
-        // Empty shard / no traffic: zero denominator must yield 0.0
-        // (keep the calibrated group), not NaN.
-        assert_eq!(density_for_counts(0, 0), 0.0);
-        assert_eq!(group_for_density(8, density_for_counts(0, 0)), 8);
-        // All-delta: every key decided by the plan stage, density 1,
-        // group clamps to a single stream without panicking.
-        assert_eq!(density_for_counts(100, 0), 1.0);
-        assert_eq!(group_for_density(8, density_for_counts(100, 0)), 1);
-        // Mixed traffic is a plain fraction.
-        assert_eq!(density_for_counts(25, 75), 0.25);
-        assert_eq!(density_for_counts(0, 50), 0.0);
-    }
 
     #[test]
     fn tuner_returns_a_valid_group() {
