@@ -16,8 +16,11 @@
 /// `BENCH_throughput.json` — morsel-parallel lookup throughput sweep.
 pub const THROUGHPUT: &str = "isi-throughput/v1";
 
-/// `BENCH_serve.json` — admission-batched lookup-service load sweep.
-pub const SERVE: &str = "isi-serve/v1";
+/// `BENCH_serve.json` — admission-batched lookup-service load sweep
+/// (v2 replaced the flush-policy axis with a batch-cap axis when the
+/// dispatcher became work-conserving: `config.max_batches` replaces
+/// `config.policies`, and cells drop their flush-deadline column).
+pub const SERVE: &str = "isi-serve/v2";
 
 /// `BENCH_serve_mixed.json` — mixed read/write sweep (v2 added the
 /// per-policy merge/cache columns; v3 added the durability columns:
@@ -33,8 +36,9 @@ pub const SERVE: &str = "isi-serve/v1";
 /// swept) and `config.retune_interval`, each cell records its `adapt`
 /// mode plus the `retunes` counter and per-shard `final_groups`; v7
 /// removed that axis and its columns again, together with adaptive
-/// dispatch itself).
-pub const SERVE_MIXED: &str = "isi-serve-mixed/v7";
+/// dispatch itself; v8 replaced the `config.policy` object with the
+/// scalar `config.max_batch` when the flush deadline was deleted).
+pub const SERVE_MIXED: &str = "isi-serve-mixed/v8";
 
 #[cfg(test)]
 mod tests {

@@ -1,18 +1,18 @@
 //! The `serve` sweep: load-tests the admission-batched lookup service
-//! over {backend × shard count × batch policy × load mode} and writes
-//! a machine-readable `BENCH_serve.json` (schema `isi-serve/v1`).
+//! over {backend × shard count × batch cap × load mode} and writes a
+//! machine-readable `BENCH_serve.json` (schema `isi-serve/v2`).
 //!
 //! Two load modes per cell:
 //!
 //! * **closed** — each client thread issues its next request the
 //!   moment the previous one returns; measures the service's
-//!   saturation throughput under the policy.
+//!   saturation throughput under the batch cap.
 //! * **open** — each client issues on a fixed schedule (total target
 //!   rate split across clients), sleeping until the next slot when
 //!   ahead and issuing immediately when behind (paced open loop,
 //!   bounded by client concurrency); measures latency at a fixed
-//!   offered load, where the `max_wait` deadline rather than batch
-//!   fill dominates flushes.
+//!   offered load, where batches stay small because the dispatcher
+//!   never waits for more entries than are already queued.
 //!
 //! Latency quantiles come from the service's own log-bucketed
 //! [`LatencyHist`](isi_core::stats::LatencyHist) (admission →
@@ -20,7 +20,7 @@
 //! not just engine time.
 //!
 //! A second, **mixed read/write** sweep (`--mixed`, schema
-//! `isi-serve-mixed/v7`) drives closed-loop clients whose operation
+//! `isi-serve-mixed/v8`) drives closed-loop clients whose operation
 //! streams contain a configurable write fraction (puts + removes) and
 //! range-scan fraction (`get_range` over a fixed key span) against a
 //! writable store, with merges on the background merger thread by
@@ -45,9 +45,7 @@ use std::time::{Duration, Instant};
 
 use isi_core::par::ParConfig;
 use isi_core::policy::Interleave;
-use isi_serve::{
-    Backend, BatchPolicy, FsyncMode, LookupService, ServeConfig, ShardedStore, Stage, StoreConfig,
-};
+use isi_serve::{Backend, FsyncMode, LookupService, ServeConfig, ShardedStore, Stage, StoreConfig};
 use isi_workloads::uniform_indices;
 
 use crate::json::{self, num, obj, str, Json};
@@ -59,24 +57,6 @@ pub use crate::schema::SERVE as SCHEMA;
 /// The two load modes, in sweep order.
 pub const MODES: [&str; 2] = ["closed", "open"];
 
-/// One admission-queue flush policy of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicySpec {
-    /// Flush at this many queued requests...
-    pub max_batch: usize,
-    /// ...or when the oldest has waited this many microseconds.
-    pub max_wait_us: u64,
-}
-
-impl PolicySpec {
-    fn to_batch_policy(self) -> BatchPolicy {
-        BatchPolicy {
-            max_batch: self.max_batch,
-            max_wait: Duration::from_micros(self.max_wait_us),
-        }
-    }
-}
-
 /// Sweep configuration.
 #[derive(Debug, Clone)]
 pub struct ServeBenchCfg {
@@ -84,8 +64,8 @@ pub struct ServeBenchCfg {
     pub backends: Vec<Backend>,
     /// Shard counts to sweep (powers of two).
     pub shard_counts: Vec<usize>,
-    /// Batch policies to sweep.
-    pub policies: Vec<PolicySpec>,
+    /// Dispatch batch caps ([`ServeConfig::max_batch`]) to sweep.
+    pub max_batches: Vec<usize>,
     /// Key/value pairs in the store (keys are `0, 2, 4, ...`).
     pub store_keys: usize,
     /// Concurrent client threads per cell.
@@ -102,25 +82,12 @@ pub struct ServeBenchCfg {
 
 impl ServeBenchCfg {
     /// Full sweep: a 1M-pair store, all backends, shards {1, 2, 4},
-    /// three policies from latency-biased to throughput-biased.
+    /// batch caps {8, 64, 256}.
     pub fn full() -> Self {
         Self {
             backends: Backend::ALL.to_vec(),
             shard_counts: vec![1, 2, 4],
-            policies: vec![
-                PolicySpec {
-                    max_batch: 8,
-                    max_wait_us: 100,
-                },
-                PolicySpec {
-                    max_batch: 64,
-                    max_wait_us: 1_000,
-                },
-                PolicySpec {
-                    max_batch: 256,
-                    max_wait_us: 5_000,
-                },
-            ],
+            max_batches: vec![8, 64, 256],
             store_keys: 1 << 20,
             clients: 8,
             requests_per_client: 2_000,
@@ -136,10 +103,7 @@ impl ServeBenchCfg {
         Self {
             backends: Backend::ALL.to_vec(),
             shard_counts: vec![1, 2],
-            policies: vec![PolicySpec {
-                max_batch: 16,
-                max_wait_us: 200,
-            }],
+            max_batches: vec![16],
             store_keys: 1 << 12,
             clients: 4,
             requests_per_client: 256,
@@ -159,8 +123,8 @@ pub struct ServeCell {
     pub backend: Backend,
     /// Shard count.
     pub shards: usize,
-    /// Batch policy used.
-    pub policy: PolicySpec,
+    /// Batch cap used.
+    pub max_batch: usize,
     /// Requests answered (clients × requests_per_client).
     pub requests: u64,
     /// Requests that found their key.
@@ -181,9 +145,10 @@ pub struct ServeCell {
     pub batches: u64,
     /// Mean requests per dispatched batch.
     pub mean_batch: f64,
-    /// Batches flushed full vs by deadline.
+    /// Batches dispatched capped at `max_batch` (queue at least that
+    /// deep).
     pub full_flushes: u64,
-    /// Deadline (or drain) flushes.
+    /// Batches that took the whole, shorter queue.
     pub timeout_flushes: u64,
 }
 
@@ -208,7 +173,7 @@ fn client_probes(store_keys: usize, count: usize, client: usize) -> Vec<u64> {
 pub fn measure_cell(
     mode: &'static str,
     store: &std::sync::Arc<ShardedStore>,
-    policy: PolicySpec,
+    max_batch: usize,
     cfg: &ServeBenchCfg,
 ) -> ServeCell {
     let backend = store.backend();
@@ -217,7 +182,7 @@ pub fn measure_cell(
         std::sync::Arc::clone(store),
         ServeConfig {
             policy: Interleave::from_group(cfg.group),
-            batch: policy.to_batch_policy(),
+            max_batch,
             queue_cap: cfg.queue_cap,
             par: ParConfig::with_threads(1),
             hot_cache_slots: 0,
@@ -257,7 +222,7 @@ pub fn measure_cell(
         mode,
         backend,
         shards,
-        policy,
+        max_batch,
         requests: stats.requests,
         hits,
         elapsed_ns,
@@ -280,11 +245,11 @@ pub fn run_sweep(cfg: &ServeBenchCfg, mut progress: impl FnMut(&ServeCell)) -> V
     for &backend in &cfg.backends {
         for &shards in &cfg.shard_counts {
             // The store depends only on (backend, shards): build it
-            // once and share it across every policy x mode cell.
+            // once and share it across every batch cap x mode cell.
             let store = std::sync::Arc::new(build_store(backend, shards, cfg.store_keys));
-            for &policy in &cfg.policies {
+            for &max_batch in &cfg.max_batches {
                 for mode in MODES {
-                    let cell = measure_cell(mode, &store, policy, cfg);
+                    let cell = measure_cell(mode, &store, max_batch, cfg);
                     progress(&cell);
                     cells.push(cell);
                 }
@@ -294,7 +259,7 @@ pub fn run_sweep(cfg: &ServeBenchCfg, mut progress: impl FnMut(&ServeCell)) -> V
     cells
 }
 
-/// Serialize a finished sweep to the `isi-serve/v1` document.
+/// Serialize a finished sweep to the `isi-serve/v2` document.
 pub fn to_json(cfg: &ServeBenchCfg, cells: &[ServeCell]) -> Json {
     let results: Vec<Json> = cells
         .iter()
@@ -303,8 +268,7 @@ pub fn to_json(cfg: &ServeBenchCfg, cells: &[ServeCell]) -> Json {
                 ("mode", str(c.mode)),
                 ("backend", str(c.backend.name())),
                 ("shards", num(c.shards as f64)),
-                ("max_batch", num(c.policy.max_batch as f64)),
-                ("max_wait_us", num(c.policy.max_wait_us as f64)),
+                ("max_batch", num(c.max_batch as f64)),
                 ("requests", num(c.requests as f64)),
                 ("hits", num(c.hits as f64)),
                 ("elapsed_ns", num(c.elapsed_ns.round())),
@@ -347,18 +311,8 @@ pub fn to_json(cfg: &ServeBenchCfg, cells: &[ServeCell]) -> Json {
                     Json::Arr(cfg.shard_counts.iter().map(|&s| num(s as f64)).collect()),
                 ),
                 (
-                    "policies",
-                    Json::Arr(
-                        cfg.policies
-                            .iter()
-                            .map(|p| {
-                                obj(vec![
-                                    ("max_batch", num(p.max_batch as f64)),
-                                    ("max_wait_us", num(p.max_wait_us as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
+                    "max_batches",
+                    Json::Arr(cfg.max_batches.iter().map(|&b| num(b as f64)).collect()),
                 ),
                 ("modes", Json::Arr(MODES.map(str).to_vec())),
                 ("store_keys", num(cfg.store_keys as f64)),
@@ -375,7 +329,7 @@ pub fn to_json(cfg: &ServeBenchCfg, cells: &[ServeCell]) -> Json {
 
 /// Validate a result document: schema tag, and exactly one cell with
 /// positive throughput, full request coverage and monotone latency
-/// quantiles for every `mode × backend × shard count × policy`
+/// quantiles for every `mode × backend × shard count × batch cap`
 /// combination the document's own config declares. Used by the CI
 /// smoke job and by the binary's self-check after a sweep.
 pub fn verify(doc: &Json) -> Result<(), String> {
@@ -402,22 +356,13 @@ pub fn verify(doc: &Json) -> Result<(), String> {
         .iter()
         .map(|v| v.as_usize().ok_or("non-integer shard count"))
         .collect::<Result<_, _>>()?;
-    let policies: Vec<(usize, usize)> = config
-        .get("policies")
+    let max_batches: Vec<usize> = config
+        .get("max_batches")
         .and_then(Json::as_arr)
-        .ok_or("missing config.policies")?
+        .ok_or("missing config.max_batches")?
         .iter()
-        .map(|p| {
-            Ok((
-                p.get("max_batch")
-                    .and_then(Json::as_usize)
-                    .ok_or("policy missing max_batch")?,
-                p.get("max_wait_us")
-                    .and_then(Json::as_usize)
-                    .ok_or("policy missing max_wait_us")?,
-            ))
-        })
-        .collect::<Result<_, String>>()?;
+        .map(|v| v.as_usize().ok_or("non-integer max_batch"))
+        .collect::<Result<_, _>>()?;
     let modes: Vec<&str> = config
         .get("modes")
         .and_then(Json::as_arr)
@@ -425,7 +370,8 @@ pub fn verify(doc: &Json) -> Result<(), String> {
         .iter()
         .filter_map(Json::as_str)
         .collect();
-    if backends.is_empty() || shard_counts.is_empty() || policies.is_empty() || modes.is_empty() {
+    if backends.is_empty() || shard_counts.is_empty() || max_batches.is_empty() || modes.is_empty()
+    {
         return Err("empty sweep axes".into());
     }
     for required in MODES {
@@ -448,7 +394,7 @@ pub fn verify(doc: &Json) -> Result<(), String> {
     for &m in &modes {
         for &b in &backends {
             for &s in &shard_counts {
-                for &(batch, wait) in &policies {
+                for &batch in &max_batches {
                     let matching: Vec<&Json> = results
                         .iter()
                         .filter(|c| {
@@ -456,10 +402,9 @@ pub fn verify(doc: &Json) -> Result<(), String> {
                                 && c.get("backend").and_then(Json::as_str) == Some(b)
                                 && c.get("shards").and_then(Json::as_usize) == Some(s)
                                 && c.get("max_batch").and_then(Json::as_usize) == Some(batch)
-                                && c.get("max_wait_us").and_then(Json::as_usize) == Some(wait)
                         })
                         .collect();
-                    let cell_name = format!("{m}/{b}/shards={s}/batch={batch}/wait={wait}us");
+                    let cell_name = format!("{m}/{b}/shards={s}/batch={batch}");
                     if matching.len() != 1 {
                         return Err(format!(
                             "expected exactly 1 cell for {cell_name}, found {}",
@@ -552,8 +497,8 @@ pub struct MixedBenchCfg {
     pub merge_thresholds: Vec<usize>,
     /// Per-shard hot-key cache slots (0 disables).
     pub hot_cache_slots: usize,
-    /// Flush policy for every cell.
-    pub policy: PolicySpec,
+    /// Dispatch batch cap ([`ServeConfig::max_batch`]) for every cell.
+    pub max_batch: usize,
     /// Interleave group size for dispatched batches.
     pub group: usize,
     /// Per-shard admission-queue bound.
@@ -590,10 +535,7 @@ impl MixedBenchCfg {
             // run-stack keeps within a whisker of the shallow one.
             merge_thresholds: vec![512, 4096],
             hot_cache_slots: 64,
-            policy: PolicySpec {
-                max_batch: 64,
-                max_wait_us: 1_000,
-            },
+            max_batch: 64,
             group: 6,
             queue_cap: 1024,
             repeat: 3,
@@ -620,10 +562,7 @@ impl MixedBenchCfg {
             // a threshold of 24 forces real merges in the smoke cell.
             merge_thresholds: vec![24],
             hot_cache_slots: 32,
-            policy: PolicySpec {
-                max_batch: 16,
-                max_wait_us: 200,
-            },
+            max_batch: 16,
             group: 6,
             queue_cap: 256,
             repeat: 1,
@@ -784,7 +723,7 @@ pub fn measure_mixed_cell(
         store,
         ServeConfig {
             policy: Interleave::from_group(cfg.group),
-            batch: cfg.policy.to_batch_policy(),
+            max_batch: cfg.max_batch,
             queue_cap: cfg.queue_cap,
             par: ParConfig::with_threads(1),
             hot_cache_slots: cfg.hot_cache_slots,
@@ -953,7 +892,7 @@ pub fn run_mixed_sweep(
     cells
 }
 
-/// Serialize a finished mixed sweep to the `isi-serve-mixed/v7`
+/// Serialize a finished mixed sweep to the `isi-serve-mixed/v8`
 /// document.
 pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
     let results: Vec<Json> = cells
@@ -1070,13 +1009,7 @@ pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
                     ),
                 ),
                 ("hot_cache_slots", num(cfg.hot_cache_slots as f64)),
-                (
-                    "policy",
-                    obj(vec![
-                        ("max_batch", num(cfg.policy.max_batch as f64)),
-                        ("max_wait_us", num(cfg.policy.max_wait_us as f64)),
-                    ]),
-                ),
+                ("max_batch", num(cfg.max_batch as f64)),
                 ("group", num(cfg.group as f64)),
                 ("queue_cap", num(cfg.queue_cap as f64)),
                 ("repeat", num(cfg.repeat as f64)),
@@ -1486,10 +1419,7 @@ mod tests {
         ServeBenchCfg {
             backends: Backend::ALL.to_vec(),
             shard_counts: vec![1, 2],
-            policies: vec![PolicySpec {
-                max_batch: 8,
-                max_wait_us: 100,
-            }],
+            max_batches: vec![8],
             store_keys: 512,
             clients: 2,
             requests_per_client: 64,
@@ -1525,10 +1455,7 @@ mod tests {
             obs: false,
             merge_thresholds: vec![16],
             hot_cache_slots: 16,
-            policy: PolicySpec {
-                max_batch: 8,
-                max_wait_us: 100,
-            },
+            max_batch: 8,
             group: 4,
             queue_cap: 64,
             repeat: 1,

@@ -4,8 +4,10 @@
 //! the queue is at capacity (the `max_delta`-style backpressure), and
 //! signal a `work` condvar **conditionally** — only when the queue
 //! transitions from empty — exactly like the real `enqueue`. The
-//! dispatcher drains everything available before parking again, which
-//! is the property that makes the conditional notify sound.
+//! dispatcher parks only on an empty queue and otherwise drains what
+//! is available (the real one in chunks of at most `max_batch`, with
+//! no park in between), which is the property that makes the
+//! conditional notify sound.
 //!
 //! The invariants are implicit in the runtime: a lost wakeup or a
 //! notify/backpressure cycle shows up as a deadlock (no schedulable
@@ -13,16 +15,13 @@
 //! with a replay seed. The explicit asserts check that exactly the
 //! produced items are consumed.
 //!
-//! Three variants:
+//! Two variants:
 //! * [`backpressure_no_deadlock`] — capacity 1, two producers: every
 //!   producer must block at least somewhere in some interleaving, and
 //!   all must still drain.
 //! * [`conditional_notify_no_lost_wakeup`] — large capacity, so the
 //!   second producer *skips* the notify; the dispatcher's
 //!   drain-before-parking loop must still consume both items.
-//! * [`timeout_notify_race`] — the dispatcher waits with a timeout
-//!   (the real dispatch loop's deadline wait); the explorer schedules
-//!   both the timeout firing and the notify in every order.
 
 use std::sync::Arc;
 
@@ -39,7 +38,7 @@ struct Queue {
 
 /// Shared body: `producers` × one item each through a queue of
 /// `capacity`; the main virtual thread is the dispatcher.
-fn queue_model(producers: u32, capacity: usize, timed_wait: bool) {
+fn queue_model(producers: u32, capacity: usize) {
     let q = Arc::new(Queue {
         items: Mutex::new(Vec::new()),
         work: Condvar::new(),
@@ -68,26 +67,10 @@ fn queue_model(producers: u32, capacity: usize, timed_wait: bool) {
     // Dispatcher: drain everything available, then park; repeat until
     // every produced item was consumed.
     let mut consumed = Vec::new();
-    // The scheduler may fire a timed wait's timeout instead of ever
-    // running the producer; a bounded budget (then falling back to an
-    // untimed wait) models fairness — otherwise "timeout fires
-    // forever" is an explorable but meaningless livelock.
-    let mut timeout_budget = 2u32;
     let mut items = q.items.lock();
     while (consumed.len() as u32) < producers {
         while items.is_empty() {
-            items = if timed_wait && timeout_budget > 0 {
-                // Deadline wait as in the real dispatch loop; the
-                // scheduler may fire the timeout instead of a notify,
-                // after which the loop re-checks the queue.
-                let (guard, fired) = q.work.wait_timeout(items);
-                if fired {
-                    timeout_budget -= 1;
-                }
-                guard
-            } else {
-                q.work.wait(items)
-            };
+            items = q.work.wait(items);
         }
         while let Some(item) = items.pop() {
             consumed.push(item);
@@ -107,18 +90,12 @@ fn queue_model(producers: u32, capacity: usize, timed_wait: bool) {
 /// Capacity-1 queue with two producers: backpressure engages, nothing
 /// deadlocks, both items drain.
 pub fn backpressure_no_deadlock() {
-    queue_model(2, 1, false);
+    queue_model(2, 1);
 }
 
 /// Roomy queue, so the second producer skips its notify; the
 /// dispatcher's drain loop must still consume everything (a lost
 /// wakeup here would deadlock and be reported).
 pub fn conditional_notify_no_lost_wakeup() {
-    queue_model(2, 4, false);
-}
-
-/// Timed dispatcher wait racing a producer's notify: correct in every
-/// timeout/notify order.
-pub fn timeout_notify_race() {
-    queue_model(1, 1, true);
+    queue_model(2, 4);
 }

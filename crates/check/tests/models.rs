@@ -85,15 +85,6 @@ fn queue_conditional_notify_no_lost_wakeup() {
 }
 
 #[test]
-fn queue_timeout_notify_race() {
-    check(
-        "queue timeout race",
-        Config::default(),
-        models::queue::timeout_notify_race,
-    );
-}
-
-#[test]
 fn wal_group_commit_acked_writes_survive_truncation() {
     let n = check(
         "wal group commit",

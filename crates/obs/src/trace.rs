@@ -29,8 +29,8 @@ use crate::span::now_ns;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A dispatcher drained and executed one batch.
-    /// `a` = entries in the batch, `b` = 1 if it was a full (size-
-    /// triggered) flush, 0 if the ragged-batch timeout fired.
+    /// `a` = entries in the batch, `b` = 1 if it was a full flush
+    /// (capped at `max_batch`), 0 if it took the whole, shorter queue.
     BatchFlush,
     /// A shard merge started (delta about to fold into main).
     /// `a` = delta entries pinned for the merge.

@@ -25,10 +25,11 @@
 //!    [`get_range`](service::LookupService::get_range) pre-partition
 //!    client-side and submit one entry per shard. Per-shard FIFO gives
 //!    every client read-your-writes.
-//! 3. **Plan & dispatch** — the dispatcher flushes a batch when
-//!    `max_batch` entries are queued or the oldest has waited
-//!    `max_wait` ([`BatchPolicy`](service::BatchPolicy)), resolves
-//!    each read run against the delta into a
+//! 3. **Plan & dispatch** — the dispatcher is work-conserving: the
+//!    moment it is free it drains whatever is queued, capped at
+//!    [`max_batch`](service::ServeConfig::max_batch), and it parks
+//!    only on an empty queue, so batches grow with load rather than
+//!    with a timer. It resolves each read run against the delta into a
 //!    [`BatchPlan`](plan::BatchPlan) (delta-decided keys skip the
 //!    engine), drives the dense residual through the morsel-parallel
 //!    interleaved engine ([`isi_core::par`]), applies writes and range
@@ -116,7 +117,7 @@ pub mod store;
 pub use isi_durable::FsyncMode;
 pub use isi_obs::{Obs, Stage};
 pub use plan::BatchPlan;
-pub use service::{BatchPolicy, LookupService, ServeConfig, ServeStats};
+pub use service::{LookupService, ServeConfig, ServeStats};
 pub use store::{
     Backend, BatchOutcome, LookupScratch, MergeMode, ShardedStore, StoreConfig, WriteScratch,
 };

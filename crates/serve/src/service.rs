@@ -6,11 +6,14 @@
 //! workload instead delivers many small concurrent requests. This
 //! module closes that gap with **admission batching**: each shard owns
 //! a bounded queue; client threads enqueue one operation and block on
-//! a ticket; a per-shard dispatcher thread coalesces queued entries
-//! and flushes a batch when either `max_batch` entries are waiting or
-//! the oldest has waited `max_wait` — whichever comes first — then
-//! drives the reads through the morsel-parallel interleaved engine and
-//! routes results back through the tickets.
+//! a ticket; a per-shard dispatcher thread drains whatever is queued
+//! (at most `max_batch` entries) the moment it is free, drives the
+//! reads through the morsel-parallel interleaved engine and routes
+//! results back through the tickets. Dispatch is **work-conserving**:
+//! the dispatcher parks only on an empty queue and never holds a
+//! partial batch back. Batches still grow with load, because entries
+//! pile up while the previous batch runs — the same leader/follower
+//! shape as the WAL's group commit.
 //!
 //! **Writes ride the same queues.** `put`/`remove` enqueue on the
 //! owning shard alongside reads, and the dispatcher preserves FIFO
@@ -52,18 +55,16 @@
 //! with single-`get` results and invalidated by the write path before
 //! a write is acknowledged. A hit answers without dispatch.
 //!
-//! The flush policy is the latency/throughput dial: large `max_batch`
-//! with generous `max_wait` amortizes interleaving best (high
-//! throughput, queueing latency); tiny `max_wait` bounds tail latency
-//! but dispatches ragged batches the engine can't fill its group with.
 //! Per-request latency (enqueue → response) is recorded into a
-//! log-bucketed [`LatencyHist`] so that trade-off is observable.
+//! log-bucketed [`LatencyHist`], and every dispatched batch's size
+//! into the `BatchFlush` trace event, so the batch sizes that load
+//! actually produces are observable.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use isi_core::par::ParConfig;
 use isi_core::policy::Interleave;
@@ -75,25 +76,6 @@ use isi_obs::{chrome_trace_json, Counter, Hist, Obs, SpanTimer, Stage, TraceKind
 
 use crate::store::{LookupScratch, ShardedStore, WriteScratch};
 
-/// When a shard's dispatcher flushes its admission queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Flush as soon as this many entries are queued.
-    pub max_batch: usize,
-    /// Flush when the oldest queued entry has waited this long.
-    pub max_wait: Duration,
-}
-
-impl Default for BatchPolicy {
-    /// 64-entry batches, 1 ms ceiling on queueing delay.
-    fn default() -> Self {
-        Self {
-            max_batch: 64,
-            max_wait: Duration::from_millis(1),
-        }
-    }
-}
-
 /// Service configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -101,8 +83,10 @@ pub struct ServeConfig {
     /// (e.g. `isi_search::autotune::autotune_group_size` on a pilot
     /// sample), fixed for the service's lifetime.
     pub policy: Interleave,
-    /// Flush policy for each shard's admission queue.
-    pub batch: BatchPolicy,
+    /// Most entries one dispatch drains from a shard's admission
+    /// queue (default 64). The dispatcher never waits for a batch to
+    /// fill: it takes whatever is queued, up to this cap.
+    pub max_batch: usize,
     /// Per-shard admission-queue bound; requests block when the owning
     /// shard's queue is full (backpressure).
     pub queue_cap: usize,
@@ -127,7 +111,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             policy: Interleave::default(),
-            batch: BatchPolicy::default(),
+            max_batch: 64,
             queue_cap: 1024,
             par: ParConfig::with_threads(1),
             hot_cache_slots: 0,
@@ -262,7 +246,7 @@ struct QueueState {
 /// One shard's admission queue and its wakeup channels.
 struct ShardState {
     q: Mutex<QueueState>,
-    /// Dispatcher waits here for work / the flush deadline.
+    /// Dispatcher parks here while the queue is empty.
     work: Condvar,
     /// Producers wait here for queue space (backpressure).
     space: Condvar,
@@ -336,10 +320,12 @@ pub struct ServeStats {
     pub delta_hits: u64,
     /// Batches dispatched.
     pub batches: u64,
-    /// Batches flushed because `max_batch` was reached.
+    /// Batches dispatched with at least `max_batch` entries queued
+    /// (the batch was capped at `max_batch`).
     pub full_flushes: u64,
-    /// Batches flushed by the `max_wait` deadline (or drained at
-    /// close).
+    /// Batches dispatched with fewer than `max_batch` entries queued
+    /// (the batch took the whole queue). The name predates
+    /// work-conserving dispatch; no timer is involved.
     pub timeout_flushes: u64,
     /// Per-entry latency (enqueue → response routed), nanoseconds.
     pub latency: LatencyHist,
@@ -443,7 +429,7 @@ impl LookupService {
     /// Panics if `queue_cap` or `max_batch` is 0.
     pub fn start(store: impl Into<Arc<ShardedStore>>, cfg: ServeConfig) -> Self {
         assert!(cfg.queue_cap > 0, "queue_cap must be positive");
-        assert!(cfg.batch.max_batch > 0, "max_batch must be positive");
+        assert!(cfg.max_batch > 0, "max_batch must be positive");
         let store = store.into();
         let obs = Arc::new(Obs::new("serve", store.num_shards()));
         if cfg.trace_events > 0 {
@@ -554,9 +540,9 @@ impl LookupService {
             op,
             enqueued: Instant::now(),
         });
-        // Wake the dispatcher when the batch fills, and on the first
-        // entry so it arms the max_wait deadline.
-        if q.reqs.len() == 1 || q.reqs.len() >= self.cfg.batch.max_batch {
+        // The dispatcher parks only on an empty queue, so only the
+        // empty → non-empty transition can have it to wake.
+        if q.reqs.len() == 1 {
             state.work.notify_one();
         }
     }
@@ -830,10 +816,10 @@ struct DispatchBufs {
     write_scratch: WriteScratch,
 }
 
-/// The per-shard dispatcher: wait for work, flush on `max_batch` or
-/// `max_wait`, execute the batch FIFO (read runs through the
-/// interleaved engine, writes in admission order between runs), route
-/// responses, record latency.
+/// The per-shard dispatcher: park while the queue is empty, otherwise
+/// drain up to `max_batch` entries at once, execute the batch FIFO
+/// (read runs through the interleaved engine, writes in admission
+/// order between runs), route responses, record latency.
 fn dispatch_loop(
     store: &ShardedStore,
     shard: usize,
@@ -842,14 +828,14 @@ fn dispatch_loop(
     obs: &Obs,
 ) {
     let mut bufs = DispatchBufs {
-        batch: Vec::with_capacity(cfg.batch.max_batch),
-        run_keys: Vec::with_capacity(cfg.batch.max_batch),
-        run_spans: Vec::with_capacity(cfg.batch.max_batch),
-        out: Vec::with_capacity(cfg.batch.max_batch),
+        batch: Vec::with_capacity(cfg.max_batch),
+        run_keys: Vec::with_capacity(cfg.max_batch),
+        run_spans: Vec::with_capacity(cfg.max_batch),
+        out: Vec::with_capacity(cfg.max_batch),
         scratch: LookupScratch::default(),
-        write_ops: Vec::with_capacity(cfg.batch.max_batch),
-        write_idx: Vec::with_capacity(cfg.batch.max_batch),
-        write_prevs: Vec::with_capacity(cfg.batch.max_batch),
+        write_ops: Vec::with_capacity(cfg.max_batch),
+        write_idx: Vec::with_capacity(cfg.max_batch),
+        write_prevs: Vec::with_capacity(cfg.max_batch),
         write_scratch: WriteScratch::default(),
     };
     let mut q = state.q.plock("admission queue");
@@ -861,22 +847,8 @@ fn dispatch_loop(
             q = state.work.pwait(q, "admission queue (dispatcher idle)");
             continue;
         }
-        let full = q.reqs.len() >= cfg.batch.max_batch;
-        if !full && q.open {
-            // Ragged batch on an open queue: wait out the residual
-            // max_wait of the oldest entry (more requests may land
-            // and fill the batch; a closed queue drains immediately).
-            let deadline = q.reqs[0].enqueued + cfg.batch.max_wait;
-            let now = Instant::now();
-            if now < deadline {
-                (q, _) =
-                    state
-                        .work
-                        .pwait_timeout(q, deadline - now, "admission queue (batch deadline)");
-                continue;
-            }
-        }
-        let n = q.reqs.len().min(cfg.batch.max_batch);
+        let full = q.reqs.len() >= cfg.max_batch;
+        let n = q.reqs.len().min(cfg.max_batch);
         bufs.batch.clear();
         bufs.batch.extend(q.reqs.drain(..n));
         state.space.notify_all();
@@ -1119,10 +1091,7 @@ mod tests {
             let svc = LookupService::start(
                 store,
                 ServeConfig {
-                    batch: BatchPolicy {
-                        max_batch: 8,
-                        max_wait: Duration::from_micros(200),
-                    },
+                    max_batch: 8,
                     ..ServeConfig::default()
                 },
             );
@@ -1139,59 +1108,62 @@ mod tests {
     }
 
     #[test]
-    fn full_batches_flush_without_waiting() {
-        // max_wait far beyond the test timeout: only max_batch flushes
-        // can answer. Exactly max_batch clients with one outstanding
-        // request each make every flush self-synchronizing — a batch
-        // dispatches precisely when all four have enqueued — so
-        // completion proves the full-batch path with no deadline help.
-        let store = ShardedStore::build(Backend::Hash, 1, &pairs(512));
+    fn batches_never_exceed_max_batch() {
+        // Eight closed-loop clients against max_batch 4: the queue
+        // often holds more than a batch, and the dispatcher must cap
+        // every drain at max_batch without ever waiting for one to
+        // fill.
+        let store = ShardedStore::build(Backend::Hash, 1, &pairs(2000));
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_secs(3600),
-                },
+                max_batch: 4,
+                trace_events: 4096,
                 ..ServeConfig::default()
             },
         );
         std::thread::scope(|scope| {
-            for c in 0..4u64 {
+            for c in 0..8u64 {
                 let svc = &svc;
                 scope.spawn(move || {
-                    for i in 0..8u64 {
-                        let key = (c * 8 + i) * 7 % 1100;
+                    for i in 0..32u64 {
+                        let key = (c * 32 + i) * 7 % 1100;
                         assert_eq!(svc.get(key), expect(key));
                     }
                 });
             }
         });
         let stats = svc.stats();
-        assert_eq!(stats.requests, 32);
-        assert_eq!(stats.batches, 8);
-        assert_eq!(stats.full_flushes, 8);
-        assert!((stats.mean_batch() - 4.0).abs() < 1e-9);
+        assert_eq!(stats.requests, 8 * 32);
+        assert_eq!(stats.full_flushes + stats.timeout_flushes, stats.batches);
+        let flushes: Vec<u64> = svc
+            .obs()
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceKind::BatchFlush)
+            .map(|e| e.a)
+            .collect();
+        assert_eq!(flushes.len() as u64, stats.batches);
+        assert!(
+            flushes.iter().all(|&n| (1..=4).contains(&n)),
+            "batch sizes {flushes:?} exceed max_batch 4"
+        );
     }
 
     #[test]
-    fn lone_request_is_flushed_by_the_deadline() {
+    fn lone_request_dispatches_without_waiting() {
+        // A batch cap no load can reach: the lone request must still
+        // dispatch at once, as a partial batch.
         let store = ShardedStore::build(Backend::Csb, 1, &pairs(100));
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 1_000_000,
-                    max_wait: Duration::from_millis(2),
-                },
+                max_batch: 1_000_000,
                 ..ServeConfig::default()
             },
         );
-        let t0 = Instant::now();
         assert_eq!(svc.get(42), Some(21));
-        // Generous bound: the flush must come from the deadline, not
-        // from a full batch, and must not hang.
-        assert!(t0.elapsed() < Duration::from_secs(10));
         assert_eq!(svc.stats().timeout_flushes, 1);
     }
 
@@ -1202,10 +1174,7 @@ mod tests {
             store,
             ServeConfig {
                 queue_cap: 1,
-                batch: BatchPolicy {
-                    max_batch: 2,
-                    max_wait: Duration::from_micros(100),
-                },
+                max_batch: 2,
                 ..ServeConfig::default()
             },
         );
@@ -1238,10 +1207,7 @@ mod tests {
             store,
             ServeConfig {
                 policy: Interleave::from_group(6),
-                batch: BatchPolicy {
-                    max_batch: 16,
-                    max_wait: Duration::from_micros(100),
-                },
+                max_batch: 16,
                 ..ServeConfig::default()
             },
         );
@@ -1262,10 +1228,7 @@ mod tests {
             let svc = LookupService::start(
                 store,
                 ServeConfig {
-                    batch: BatchPolicy {
-                        max_batch: 8,
-                        max_wait: Duration::from_micros(100),
-                    },
+                    max_batch: 8,
                     ..ServeConfig::default()
                 },
             );
@@ -1299,10 +1262,7 @@ mod tests {
             let svc = LookupService::start(
                 store,
                 ServeConfig {
-                    batch: BatchPolicy {
-                        max_batch: 64,
-                        max_wait: Duration::from_micros(100),
-                    },
+                    max_batch: 64,
                     ..ServeConfig::default()
                 },
             );
@@ -1333,10 +1293,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_micros(50),
-                },
+                max_batch: 4,
                 ..ServeConfig::default()
             },
         );
@@ -1353,10 +1310,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_micros(50),
-                },
+                max_batch: 4,
                 hot_cache_slots: 64,
                 ..ServeConfig::default()
             },
@@ -1392,10 +1346,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 8,
-                    max_wait: Duration::from_micros(50),
-                },
+                max_batch: 8,
                 queue_cap: 16,
                 ..ServeConfig::default()
             },
@@ -1434,10 +1385,7 @@ mod tests {
             let svc = LookupService::start(
                 store,
                 ServeConfig {
-                    batch: BatchPolicy {
-                        max_batch: 8,
-                        max_wait: Duration::from_micros(100),
-                    },
+                    max_batch: 8,
                     ..ServeConfig::default()
                 },
             );
@@ -1476,10 +1424,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_micros(50),
-                },
+                max_batch: 4,
                 ..ServeConfig::default()
             },
         );
@@ -1562,10 +1507,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 8,
-                    max_wait: Duration::from_micros(50),
-                },
+                max_batch: 8,
                 ..ServeConfig::default()
             },
         );
@@ -1627,10 +1569,7 @@ mod tests {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 8,
-                    max_wait: Duration::from_micros(50),
-                },
+                max_batch: 8,
                 trace_events: 256,
                 ..ServeConfig::default()
             },

@@ -26,14 +26,11 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
 use isi_durable::{FaultFs, FaultPlan, Fs, FsyncMode, MemFs};
-use isi_serve::{
-    Backend, BatchPolicy, LookupService, MergeMode, ServeConfig, ShardedStore, StoreConfig,
-};
+use isi_serve::{Backend, LookupService, MergeMode, ServeConfig, ShardedStore, StoreConfig};
 
 const SHARDS: usize = 2;
 
@@ -424,10 +421,7 @@ fn disk_roundtrip_through_the_service() {
         .durable(&dir, fsync);
         let seed: Vec<(u64, u64)> = (0..100u64).map(|i| (i * 3, i)).collect();
         let serve_cfg = ServeConfig {
-            batch: BatchPolicy {
-                max_batch: 8,
-                max_wait: Duration::from_micros(100),
-            },
+            max_batch: 8,
             ..ServeConfig::default()
         };
         {
@@ -484,10 +478,7 @@ fn group_commit_amortizes_fsyncs_through_the_service() {
         let svc = LookupService::start(
             store,
             ServeConfig {
-                batch: BatchPolicy {
-                    max_batch: 64,
-                    max_wait: Duration::from_millis(2),
-                },
+                max_batch: 64,
                 ..ServeConfig::default()
             },
         );

@@ -18,12 +18,11 @@
 //!   under concurrency), and the final state must match the union.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
 use isi_core::policy::Interleave;
-use isi_serve::{Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore, StoreConfig};
+use isi_serve::{Backend, LookupService, ServeConfig, ShardedStore, StoreConfig};
 
 /// Key space small enough that overwrites, removes of present keys
 /// and tombstone-hiding merges all happen constantly.
@@ -68,10 +67,7 @@ fn service_with_policy(
         store,
         ServeConfig {
             policy,
-            batch: BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_micros(50),
-            },
+            max_batch: 4,
             queue_cap: 8,
             hot_cache_slots,
             ..ServeConfig::default()

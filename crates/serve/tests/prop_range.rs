@@ -21,11 +21,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 use proptest::prelude::*;
 
-use isi_serve::{Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore, StoreConfig};
+use isi_serve::{Backend, LookupService, ServeConfig, ShardedStore, StoreConfig};
 
 /// Key space small enough that ranges routinely straddle written,
 /// removed and untouched keys across every shard.
@@ -58,10 +57,7 @@ fn service(store: ShardedStore) -> LookupService {
     LookupService::start(
         store,
         ServeConfig {
-            batch: BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_micros(50),
-            },
+            max_batch: 4,
             queue_cap: 8,
             ..ServeConfig::default()
         },

@@ -1,23 +1,21 @@
 //! Property test for the serving layer: under concurrent clients,
-//! every backend × shard count × batch policy answers every request
+//! every backend × shard count × batch cap answers every request
 //! exactly as the sequential oracle does.
 //!
-//! The three policies cover the three dispatch regimes:
-//! * tiny `max_batch` — batches flush full, constantly;
-//! * tiny `max_wait` — batches flush ragged, on the deadline;
-//! * large both — everything coalesces into few big batches, with the
-//!   queue bound exercising backpressure.
+//! The three `max_batch` caps cover the three dispatch regimes:
+//! * 1 — every entry dispatches alone;
+//! * 2 — the cap binds whenever clients pile up, so drains are split;
+//! * 1024 — each drain takes the whole queue, with the queue bound
+//!   exercising backpressure.
 //!
-//! Each policy runs with the hot-key cache off and on: repeated keys
+//! Each cap runs with the hot-key cache off and on: repeated keys
 //! in the probe list then answer from the cache (no dispatch), which
 //! must never change an answer — only shift counts from `requests`
 //! to `cache_hits`.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 
-use isi_serve::{Backend, BatchPolicy, LookupService, ServeConfig, ShardedStore};
+use isi_serve::{Backend, LookupService, ServeConfig, ShardedStore};
 
 /// Strategy: distinct key/value pairs plus a probe list mixing hits,
 /// misses and extremes.
@@ -29,25 +27,7 @@ fn pairs_and_probes() -> impl Strategy<Value = (Vec<(u64, u64)>, Vec<u64>)> {
         .prop_map(|(map, probes)| (map.into_iter().collect(), probes))
 }
 
-fn policies() -> [BatchPolicy; 3] {
-    [
-        // Tiny max_batch: flushes are driven by batch fill.
-        BatchPolicy {
-            max_batch: 2,
-            max_wait: Duration::from_millis(5),
-        },
-        // Tiny max_wait: flushes are driven by the deadline.
-        BatchPolicy {
-            max_batch: 4096,
-            max_wait: Duration::from_micros(50),
-        },
-        // Large both: requests coalesce into few big batches.
-        BatchPolicy {
-            max_batch: 1024,
-            max_wait: Duration::from_millis(2),
-        },
-    ]
-}
+const MAX_BATCHES: [usize; 3] = [1, 2, 1024];
 
 proptest! {
     // One case under Miri: each case spins up the full threaded
@@ -63,13 +43,13 @@ proptest! {
         let oracle: std::collections::BTreeMap<u64, u64> = pairs.iter().copied().collect();
         for backend in Backend::ALL {
             for shards in [1usize, 2, 4] {
-                for (p, policy) in policies().into_iter().enumerate() {
+                for max_batch in MAX_BATCHES {
                     for hot_cache_slots in [0usize, 32] {
                     let store = ShardedStore::build(backend, shards, &pairs);
                     let svc = LookupService::start(
                         store,
                         ServeConfig {
-                            batch: policy,
+                            max_batch,
                             queue_cap: 8,
                             hot_cache_slots,
                             ..ServeConfig::default()
@@ -100,10 +80,10 @@ proptest! {
                             prop_assert_eq!(
                                 got,
                                 oracle.get(&k).copied(),
-                                "backend={} shards={} policy={} key={}",
+                                "backend={} shards={} max_batch={} key={}",
                                 backend.name(),
                                 shards,
-                                p,
+                                max_batch,
                                 k
                             );
                         }
@@ -118,6 +98,15 @@ proptest! {
                     );
                     prop_assert_eq!(stats.latency.count(), stats.requests);
                     prop_assert!(stats.batches >= 1);
+                    prop_assert_eq!(
+                        stats.full_flushes + stats.timeout_flushes,
+                        stats.batches
+                    );
+                    if max_batch == 1 {
+                        // Every dispatched entry went alone.
+                        prop_assert_eq!(stats.batches, stats.requests);
+                        prop_assert_eq!(stats.full_flushes, stats.batches);
+                    }
                     prop_assert!(
                         stats.engine.lookups + stats.cache_hits == probes.len() as u64
                     );

@@ -465,8 +465,8 @@ fn check_serve_locks(path: &str, content: &str, out: &mut Vec<Violation>) {
                 rule: "serve-poison-policy",
                 msg:
                     "bare lock/wait unwrap in an R4 crate (serve/durable); use the isi_core::sync \
-                      helpers (plock/pread/pwrite/pwait/pwait_timeout) so a poisoned \
-                      lock panics with a protocol tag"
+                      helpers (plock/pread/pwrite/pwait) so a poisoned lock \
+                      panics with a protocol tag"
                         .to_string(),
             });
         }
