@@ -9,8 +9,8 @@
 //! `--mixed` instead sweeps {backend} × {shard count} × {write
 //! fraction} × {merge threshold} over the **writable** store — closed-loop clients whose op streams mix
 //! `get`/`put`/`remove`/`get_range` — and writes
-//! `BENCH_serve_mixed.json` (schema `isi-serve-mixed/v8`), including
-//! merge counts (background vs foreground), merge latency, published
+//! `BENCH_serve_mixed.json` (schema `isi-serve-mixed/v9`), including
+//! merge counts, merge latency, published
 //! delta runs and stack compactions, plan-stage delta hits / residual
 //! fraction, range-scan counts, hot-key-cache hits, and — with
 //! `--wal on` — WAL record/fsync counts plus the timed crash recovery each
@@ -34,8 +34,6 @@
 //! (measurements per cell, best throughput kept — the full preset's
 //! default is 3, mixed sweep),
 //! `--range F` (range-scan fraction in [0, 1], mixed sweep),
-//! `--bg-merge on|off`
-//! (background merger vs inline write-path merges, mixed sweep),
 //! `--wal on|off` (per-shard write-ahead log with group-commit fsyncs
 //! and snapshot-at-merge; each cell times a full crash recovery at
 //! teardown, mixed sweep), `--obs` (capture the observability layer:
@@ -165,14 +163,6 @@ fn main() {
                     .filter(|&v: &f64| (0.0..=1.0).contains(&v))
                     .unwrap_or_else(|| fail("bad --range (need fraction in [0, 1])"));
             }
-            "--bg-merge" => {
-                mixed_only_flags.push("--bg-merge");
-                mixed_cfg.bg_merge = match value("--bg-merge").as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => fail(&format!("bad --bg-merge {other:?} (need on|off)")),
-                };
-            }
             "--wal" => {
                 mixed_only_flags.push("--wal");
                 mixed_cfg.wal = match value("--wal").as_str() {
@@ -245,7 +235,7 @@ fn main() {
 
     let doc = if mixed {
         println!(
-            "# mixed serve sweep: backends={:?} shards={:?} write-fractions={:?} range-fraction={} keys={} clients={} reqs/client={} thresholds={:?} cache={} bg-merge={} wal={} obs={} repeat={}",
+            "# mixed serve sweep: backends={:?} shards={:?} write-fractions={:?} range-fraction={} keys={} clients={} reqs/client={} thresholds={:?} cache={} wal={} obs={} repeat={}",
             mixed_cfg.backends.iter().map(|b| b.name()).collect::<Vec<_>>(),
             mixed_cfg.shard_counts,
             mixed_cfg.write_fractions,
@@ -255,14 +245,13 @@ fn main() {
             mixed_cfg.requests_per_client,
             mixed_cfg.merge_thresholds,
             mixed_cfg.hot_cache_slots,
-            mixed_cfg.bg_merge,
             mixed_cfg.wal,
             mixed_cfg.obs,
             mixed_cfg.repeat,
         );
         let cells = run_mixed_sweep(&mixed_cfg, |c| {
             println!(
-                "{:>6} shards={:<2} writes={:<4} thr={:<5} {:>10.0} op/s  p50={:<9} p99={:<9} merges={:<4} bg={:<4} runs={:<5} folds={:<4} scans={:<4} resid={:.3} delta={:<5} cache_hits={:<5}",
+                "{:>6} shards={:<2} writes={:<4} thr={:<5} {:>10.0} op/s  p50={:<9} p99={:<9} merges={:<4} runs={:<5} folds={:<4} scans={:<4} resid={:.3} delta={:<5} cache_hits={:<5}",
                 c.backend.name(),
                 c.shards,
                 format!("{}%", (c.write_fraction * 100.0).round()),
@@ -271,7 +260,6 @@ fn main() {
                 format!("{}ns", c.p50_ns),
                 format!("{}ns", c.p99_ns),
                 c.merges,
-                c.bg_merges,
                 c.delta_runs,
                 c.compactions,
                 c.range_scans,

@@ -37,8 +37,11 @@ pub const SERVE: &str = "isi-serve/v2";
 /// mode plus the `retunes` counter and per-shard `final_groups`; v7
 /// removed that axis and its columns again, together with adaptive
 /// dispatch itself; v8 replaced the `config.policy` object with the
-/// scalar `config.max_batch` when the flush deadline was deleted).
-pub const SERVE_MIXED: &str = "isi-serve-mixed/v8";
+/// scalar `config.max_batch` when the flush deadline was deleted; v9
+/// dropped the merge-mode config flag and the per-cell
+/// background-merge count when foreground merges were deleted — every
+/// merge now runs on the background merger).
+pub const SERVE_MIXED: &str = "isi-serve-mixed/v9";
 
 #[cfg(test)]
 mod tests {

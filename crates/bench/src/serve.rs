@@ -20,20 +20,19 @@
 //! not just engine time.
 //!
 //! A second, **mixed read/write** sweep (`--mixed`, schema
-//! `isi-serve-mixed/v8`) drives closed-loop clients whose operation
+//! `isi-serve-mixed/v9`) drives closed-loop clients whose operation
 //! streams contain a configurable write fraction (puts + removes) and
 //! range-scan fraction (`get_range` over a fixed key span) against a
-//! writable store, with merges on the background merger thread by
-//! default (`bg_merge`, toggleable to foreground for A/B runs). The
-//! sweep has a **merge-threshold axis** (`merge_thresholds`): the
-//! run-stack delta keeps write cost O(run log run) regardless of how
-//! many entries the delta holds, so a large threshold (rare merges,
-//! deep delta) should cost write throughput almost nothing — the
-//! axis is the regression sentinel for that claim. Cells record merge
-//! counts and latency, background-merge counts, published delta runs
-//! and stack compactions, residual delta size, plan-stage delta hits
-//! and residual fraction, and hot-key-cache hits alongside the usual
-//! throughput/latency columns.
+//! writable store, with merges on the store's background merger
+//! thread. The sweep has a **merge-threshold axis**
+//! (`merge_thresholds`): the run-stack delta keeps write cost
+//! O(run log run) regardless of how many entries the delta holds, so a
+//! large threshold (rare merges, deep delta) should cost write
+//! throughput almost nothing — the axis is the regression sentinel for
+//! that claim. Cells record merge counts and latency, published delta
+//! runs and stack compactions, residual delta size, plan-stage delta
+//! hits and residual fraction, and hot-key-cache hits alongside the
+//! usual throughput/latency columns.
 //! With the observability layer on (`--obs`) each cell additionally
 //! captures the service's per-shard per-stage latency breakdown
 //! ([`LookupService::stage_breakdown`]), the end-to-end latency sum
@@ -474,9 +473,6 @@ pub struct MixedBenchCfg {
     pub range_fraction: f64,
     /// Key-space width of each range scan (`[key, key + range_span]`).
     pub range_span: u64,
-    /// Run merges on the background merger thread (the default); off
-    /// = foreground merges on the write path, for A/B comparison.
-    pub bg_merge: bool,
     /// Write-ahead-log durability: on = every cell runs on a fresh
     /// WAL directory with group-commit fsyncs ([`FsyncMode::Group`]),
     /// merges publish snapshots, and the cell's teardown times a full
@@ -525,7 +521,6 @@ impl MixedBenchCfg {
             requests_per_client: 2_000,
             range_fraction: 0.05,
             range_span: 512,
-            bg_merge: true,
             wal: false,
             obs: false,
             // 16k ops across 2 shards: at threshold 512, 1% writes
@@ -555,7 +550,6 @@ impl MixedBenchCfg {
             requests_per_client: 256,
             range_fraction: 0.10,
             range_span: 128,
-            bg_merge: true,
             wal: false,
             obs: false,
             // ~10% of 1024 ops are writes across 2 shards: low enough
@@ -640,9 +634,6 @@ pub struct MixedCell {
     pub mean_batch: f64,
     /// Delta-to-main merges during the cell.
     pub merges: u64,
-    /// Merges performed by the background merger thread (= `merges`
-    /// with `bg_merge` on, 0 with it off).
-    pub bg_merges: u64,
     /// Immutable delta runs published by the write path (one per
     /// dispatched per-shard write sub-run; ≤ `puts + removes`).
     pub delta_runs: u64,
@@ -701,9 +692,6 @@ pub fn measure_mixed_cell(
 ) -> MixedCell {
     let pairs: Vec<(u64, u64)> = (0..cfg.store_keys as u64).map(|i| (i * 2, i)).collect();
     let mut store_cfg = StoreConfig::with_threshold(merge_threshold);
-    if !cfg.bg_merge {
-        store_cfg = store_cfg.foreground();
-    }
     let wal_dir = cfg.wal.then(|| {
         std::env::temp_dir().join(format!(
             "isi-bench-wal-{}-{}-{}-{}-{}",
@@ -850,7 +838,6 @@ pub fn measure_mixed_cell(
         batches: stats.batches,
         mean_batch: stats.mean_batch(),
         merges: stats.merges,
-        bg_merges: stats.bg_merges,
         delta_runs: stats.delta_runs,
         compactions: stats.compactions,
         merge_p50_ns: stats.merge_latency.p50(),
@@ -939,7 +926,6 @@ pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
                 ("batches", num(c.batches as f64)),
                 ("mean_batch", num((c.mean_batch * 100.0).round() / 100.0)),
                 ("merges", num(c.merges as f64)),
-                ("bg_merges", num(c.bg_merges as f64)),
                 ("runs", num(c.delta_runs as f64)),
                 ("compactions", num(c.compactions as f64)),
                 ("merge_p50_ns", num(c.merge_p50_ns as f64)),
@@ -988,7 +974,6 @@ pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
                 ("requests_per_client", num(cfg.requests_per_client as f64)),
                 ("range_fraction", num(cfg.range_fraction)),
                 ("range_span", num(cfg.range_span as f64)),
-                ("bg_merge", Json::Bool(cfg.bg_merge)),
                 ("wal", Json::Bool(cfg.wal)),
                 (
                     "fsync",
@@ -1022,9 +1007,8 @@ pub fn to_mixed_json(cfg: &MixedBenchCfg, cells: &[MixedCell]) -> Json {
 /// Validate a mixed-sweep document: schema tag, exactly one cell per
 /// `backend × shard count × write fraction × merge threshold` the
 /// config declares, full op coverage (gets, puts, removes
-/// and range scans), coherent op/merge/plan counters
-/// (background-merge accounting must match the config's `bg_merge`,
-/// `residual_frac` must be a fraction), coherent run-stack counters
+/// and range scans), coherent op/plan counters (`residual_frac` must
+/// be a fraction), coherent run-stack counters
 /// (`compactions ≤ runs ≤ puts + removes` — every published run
 /// carries at least one effective write, and a compaction only ever
 /// follows a run push) and monotone latency quantiles.
@@ -1106,10 +1090,6 @@ pub fn verify_mixed(doc: &Json) -> Result<(), String> {
             .get("requests_per_client")
             .and_then(Json::as_usize)
             .ok_or("missing config.requests_per_client")?;
-    let bg_merge = config
-        .get("bg_merge")
-        .and_then(Json::as_bool)
-        .ok_or("missing config.bg_merge")?;
     let wal = config
         .get("wal")
         .and_then(Json::as_bool)
@@ -1216,18 +1196,6 @@ pub fn verify_mixed(doc: &Json) -> Result<(), String> {
                     }
                     if count("hits") > gets || count("cache_hits") > gets {
                         return Err(format!("cell {cell_name} hit counters exceed reads"));
-                    }
-                    let (merges, bg_merges) = (count("merges"), count("bg_merges"));
-                    if bg_merge && bg_merges != merges {
-                        return Err(format!(
-                            "cell {cell_name}: background mode but bg_merges ({bg_merges}) != \
-                     merges ({merges})"
-                        ));
-                    }
-                    if !bg_merge && bg_merges != 0.0 {
-                        return Err(format!(
-                            "cell {cell_name}: foreground mode but bg_merges = {bg_merges}"
-                        ));
                     }
                     let rf = count("residual_frac");
                     if !(0.0..=1.0).contains(&rf) {
@@ -1450,7 +1418,6 @@ mod tests {
             requests_per_client: 64,
             range_fraction: 0.15,
             range_span: 64,
-            bg_merge: true,
             wal: false,
             obs: false,
             merge_thresholds: vec![16],
@@ -1471,7 +1438,6 @@ mod tests {
             assert_eq!(c.requests, 128);
             assert_eq!(c.gets + c.puts + c.removes + c.range_scans, 128);
             assert!(c.range_scans > 0);
-            assert_eq!(c.bg_merges, c.merges);
             assert!((0.0..=1.0).contains(&c.residual_frac));
             // Run-stack counters: a run per dispatched write sub-run,
             // compactions only ever after a push.
@@ -1723,23 +1689,6 @@ mod tests {
         }
         let err = verify_mixed(&doc).expect_err("non-zero wal counters with wal off");
         assert!(err.contains("durability counters"), "{err}");
-    }
-
-    #[test]
-    fn mixed_sweep_foreground_toggle_verifies() {
-        let cfg = MixedBenchCfg {
-            bg_merge: false,
-            backends: vec![Backend::Csb],
-            shard_counts: vec![1],
-            write_fractions: vec![0.25],
-            ..tiny_mixed_cfg()
-        };
-        let cells = run_mixed_sweep(&cfg, |_| {});
-        assert_eq!(cells.len(), 1);
-        assert!(cells[0].merges > 0, "foreground merges must still run");
-        assert_eq!(cells[0].bg_merges, 0);
-        let doc = to_mixed_json(&cfg, &cells);
-        verify_mixed(&doc).expect("foreground document must verify");
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub enum Stage {
     WalAppend,
     /// The fsync (or group-commit sync) making a WAL record durable.
     WalFsync,
-    /// One shard merge: delta + main → rebuilt main (foreground or
-    /// background).
+    /// One shard merge: delta + main → rebuilt main, on the store's
+    /// background merger thread.
     Merge,
     /// One shard-local range scan (main/delta merge-join).
     RangeScan,

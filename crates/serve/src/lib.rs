@@ -44,9 +44,7 @@
 //!    keeps absorbing writes up to a hard
 //!    [`StoreConfig::max_delta`](store::StoreConfig) bound. In-flight
 //!    batches finish on the version they started with; no request's
-//!    latency absorbs a rebuild
-//!    ([`MergeMode::Foreground`](store::MergeMode) retains the old
-//!    inline behavior for A/B runs).
+//!    latency absorbs a rebuild.
 //! 5. **Survive crashes (opt-in)** — with
 //!    [`StoreConfig::wal_dir`](store::StoreConfig) set, every
 //!    dispatched write run appends **one checksummed WAL record** to
@@ -118,6 +116,4 @@ pub use isi_durable::FsyncMode;
 pub use isi_obs::{Obs, Stage};
 pub use plan::BatchPlan;
 pub use service::{LookupService, ServeConfig, ServeStats};
-pub use store::{
-    Backend, BatchOutcome, LookupScratch, MergeMode, ShardedStore, StoreConfig, WriteScratch,
-};
+pub use store::{Backend, BatchOutcome, LookupScratch, ShardedStore, StoreConfig, WriteScratch};

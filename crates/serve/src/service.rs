@@ -45,10 +45,9 @@
 //! [`ServeStats::delta_hits`] and [`ServeStats::residual_frac`].
 //!
 //! **Merges never run here.** A threshold-crossing write enqueues a
-//! job for the store's background merger thread
-//! ([`MergeMode::Background`](crate::store::MergeMode)); the
-//! dispatcher applies the write to the delta and moves on, so no
-//! request's latency absorbs a rebuild.
+//! job for the store's background merger thread; the dispatcher
+//! applies the write to the delta and moves on, so no request's
+//! latency absorbs a rebuild.
 //!
 //! An optional per-shard **hot-key cache** sits in front of the
 //! admission queue: a tiny direct-mapped map filled by the dispatcher
@@ -333,12 +332,9 @@ pub struct ServeStats {
     /// (`engine.lookups` counts only residual keys — the batch minus
     /// `delta_hits`).
     pub engine: RunStats,
-    /// Delta-to-main merges performed by the store since build (both
-    /// modes).
+    /// Delta-to-main merges the store's background merger performed
+    /// since build.
     pub merges: u64,
-    /// Merges performed by the store's background merger thread
-    /// (= `merges` in background mode, 0 in foreground mode).
-    pub bg_merges: u64,
     /// Merge jobs queued or in flight at the moment `stats()` was
     /// called (a point-in-time gauge, not a counter).
     pub merge_backlog: u64,
@@ -684,8 +680,8 @@ impl LookupService {
     /// Built from one coherent snapshot of each registry (see
     /// `isi_obs::registry`): within the returned struct,
     /// `full_flushes + timeout_flushes <= batches`,
-    /// `wal_syncs <= wal_records` and `bg_merges <= merges` hold even
-    /// while dispatchers and mergers race the call.
+    /// `wal_syncs <= wal_records` and `compactions <= delta_runs` hold
+    /// even while dispatchers and mergers race the call.
     pub fn stats(&self) -> ServeStats {
         let snap = self.obs.snapshot();
         let store_snap = self.store.obs().snapshot();
@@ -703,7 +699,6 @@ impl LookupService {
             timeout_flushes: snap.counter_sum("serve_timeout_flushes"),
             latency: snap.hist_merged("serve_latency_ns", |_| true),
             merges: store_snap.counter_sum("store_merges"),
-            bg_merges: store_snap.counter_sum("store_bg_merges"),
             delta_runs: store_snap.counter_sum("store_delta_runs"),
             compactions: store_snap.counter_sum("store_compactions"),
             wal_records: store_snap.counter_sum("store_wal_records"),
@@ -1372,7 +1367,6 @@ mod tests {
         assert_eq!(stats.puts, 160);
         assert_eq!(stats.removes, 160);
         assert!(stats.merges > 0);
-        assert_eq!(stats.bg_merges, stats.merges);
         assert_eq!(stats.merge_backlog, 0);
         assert!(svc.store().is_empty());
     }
@@ -1526,10 +1520,10 @@ mod tests {
                         s.wal_records
                     );
                     assert!(
-                        s.bg_merges <= s.merges,
-                        "skewed snapshot: {} bg merges > {} merges",
-                        s.bg_merges,
-                        s.merges
+                        s.compactions <= s.delta_runs,
+                        "skewed snapshot: {} compactions > {} delta runs",
+                        s.compactions,
+                        s.delta_runs
                     );
                     assert!(
                         s.full_flushes + s.timeout_flushes <= s.batches,

@@ -38,9 +38,8 @@
 //! *consistent* main+delta pair: an in-flight dispatch batch keeps
 //! reading the version it started on while a merge publishes the next
 //! one, and a merge can never tear a read (the swap is a single
-//! pointer store). [`MergeMode::Foreground`] retains the old inline
-//! behavior (the triggering write performs the rebuild) for A/B
-//! comparison and deterministic tests.
+//! pointer store). Merges always run on the merger thread, never on
+//! the write path; [`ShardedStore::quiesce`] waits for them to drain.
 //!
 //! Shard routing uses the *top* bits of the key's Fibonacci hash. The
 //! hash-table backend buckets on bits 32 and up of the same hash
@@ -116,20 +115,6 @@ impl Backend {
     }
 }
 
-/// Where delta-to-main merges run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeMode {
-    /// The default: a threshold-crossing write enqueues a merge job
-    /// for the store's background merger thread and returns
-    /// immediately; the delta keeps absorbing writes up to
-    /// [`StoreConfig::max_delta`] while the merge is in flight.
-    Background,
-    /// The pre-refactor behavior: the threshold-crossing write
-    /// performs the rebuild inline (its latency absorbs the merge).
-    /// Kept for A/B benchmarking and deterministic tests.
-    Foreground,
-}
-
 /// Store tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
@@ -138,14 +123,10 @@ pub struct StoreConfig {
     /// large values batch more writes per rebuild at the cost of a
     /// larger overlay on the read path.
     pub merge_threshold: usize,
-    /// Hard per-shard delta bound in [`MergeMode::Background`]:
-    /// writers to a shard whose delta holds this many entries block
-    /// until the merger drains it. Must be ≥ `merge_threshold`.
-    /// Irrelevant in foreground mode (the delta never outlives the
-    /// triggering write).
+    /// Hard per-shard delta bound: writers to a shard whose delta
+    /// holds this many entries block until the background merger
+    /// drains it. Must be ≥ `merge_threshold`.
     pub max_delta: usize,
-    /// Where merges run.
-    pub merge_mode: MergeMode,
     /// Published delta runs a shard may stack before the write path
     /// folds them into one (the fold is amortized O(delta) total).
     /// `1` restores a single always-folded run (every write pays the
@@ -170,17 +151,10 @@ impl StoreConfig {
         Self {
             merge_threshold,
             max_delta: merge_threshold.saturating_mul(4),
-            merge_mode: MergeMode::Background,
             max_runs: 8,
             wal_dir: None,
             fsync: FsyncMode::Group,
         }
-    }
-
-    /// This configuration with merges forced inline on the write path.
-    pub fn foreground(mut self) -> Self {
-        self.merge_mode = MergeMode::Foreground;
-        self
     }
 
     /// This configuration with the given delta run-stack depth bound.
@@ -331,15 +305,13 @@ struct WriteState {
 /// Per-shard merge and run-stack counters, registered in the store's
 /// [`Obs`] so monitoring reads ([`ShardedStore::merges`] and friends)
 /// are lock-free snapshots that never wait behind a rebuild.
-/// Registration order is the ≤ side of each invariant first
-/// (`bg_merges` before `merges`, `compactions` before `delta_runs`)
-/// and every bump hits the ≥ side first, so `bg_merges ≤ merges` and
-/// `compactions ≤ delta_runs` hold in *every* snapshot (the registry's
-/// coherence contract). Merge wall latency lands in the shard's
-/// [`Stage::Merge`] histogram.
+/// Registration order is the ≤ side of the invariant first
+/// (`compactions` before `delta_runs`) and every bump hits the ≥ side
+/// first, so `compactions ≤ delta_runs` holds in *every* snapshot (the
+/// registry's coherence contract). Merge wall latency lands in the
+/// shard's [`Stage::Merge`] histogram.
 struct MergeCounters {
     merges: Counter,
-    bg_merges: Counter,
     /// Delta runs published by the write path (one per effective
     /// shard sub-run).
     delta_runs: Counter,
@@ -420,53 +392,10 @@ impl DurableState {
         }
     }
 
-    /// [`FsyncMode::On`]'s record granularity without its old
-    /// quadratic overhead: encode one record **per op** (each at its
-    /// own sequence) into a single buffer in one pass, append once,
-    /// fsync once — the span/trace machinery runs once per run, not
-    /// once per op. Returns the last sequence consumed. Caller holds
-    /// the shard write lock.
-    fn log_run_per_op(
-        &self,
-        obs: &Obs,
-        shard: usize,
-        mut seq: u64,
-        ops: &[(u64, Option<u64>)],
-    ) -> u64 {
-        let name = durable::wal_name(shard);
-        let mut buf = Vec::new();
-        for op in ops {
-            seq += 1;
-            buf.extend_from_slice(&durable::encode_record(seq, std::slice::from_ref(op)));
-        }
-        let t = SpanTimer::start();
-        self.fs
-            .append(&name, &buf)
-            .unwrap_or_else(|e| panic!("WAL append failed for shard {shard}: {e}"));
-        obs.record_stage(shard, Stage::WalAppend, t.elapsed_ns());
-        self.wal_records.add(ops.len() as u64);
-        let t = SpanTimer::start();
-        self.fs
-            .sync(&name)
-            .unwrap_or_else(|e| panic!("WAL fsync failed for shard {shard}: {e}"));
-        let dur = t.elapsed_ns();
-        obs.record_stage(shard, Stage::WalFsync, dur);
-        obs.trace().emit(
-            shard,
-            TraceKind::WalSync,
-            t.start_ns(),
-            dur,
-            ops.len() as u64,
-            0,
-        );
-        self.wal_syncs.inc();
-        seq
-    }
-
     /// Serialize and fsync a snapshot of `merged` (covering WAL
     /// sequence `seq`) to the shard's temp file. The bulky half of a
-    /// durable merge publish — the background merger runs it *outside*
-    /// the shard write lock.
+    /// durable merge publish — the merger runs it *outside* the shard
+    /// write lock.
     fn stage_snapshot(&self, shard: usize, seq: u64, merged: &[(u64, u64)]) -> String {
         durable::write_snapshot_tmp(&*self.fs, shard, seq, merged)
             .unwrap_or_else(|e| panic!("snapshot write failed for shard {shard}: {e}"))
@@ -563,7 +492,7 @@ pub struct BatchOutcome {
 /// [`StoreConfig::max_delta`] bound.
 pub struct ShardedStore {
     inner: Arc<StoreInner>,
-    /// `Some` in background mode; joined (after a drain) on drop.
+    /// The background merger thread; joined (after a drain) on drop.
     merger: Option<JoinHandle<()>>,
 }
 
@@ -735,14 +664,12 @@ impl ShardedStore {
         let store = Self::assemble(backend, shard_bits, cfg, shards, live, Some(fs));
         // Shards whose replayed delta already crossed the threshold
         // get their merge queued now rather than on the next write.
-        if store.inner.cfg.merge_mode == MergeMode::Background {
-            for si in refill {
-                let mut w = store.inner.shards[si].write.plock("shard write state");
-                w.pending = true;
-                let mut q = store.inner.merge_q.plock("merge queue");
-                q.queue.push_back(si);
-                store.inner.merge_work.notify_one();
-            }
+        for si in refill {
+            let mut w = store.inner.shards[si].write.plock("shard write state");
+            w.pending = true;
+            let mut q = store.inner.merge_q.plock("merge queue");
+            q.queue.push_back(si);
+            store.inner.merge_work.notify_one();
         }
         Ok(store)
     }
@@ -766,11 +693,10 @@ impl ShardedStore {
         live: usize,
         fs: Option<Arc<dyn Fs>>,
     ) -> Self {
-        let merge_mode = cfg.merge_mode;
         let obs = Obs::new("store", shards.len());
         // Coherent-snapshot registration order: the ≤ side of each
-        // invariant first (wal_syncs ≤ wal_records, bg_merges ≤
-        // merges); see the isi_obs registry docs.
+        // invariant first (wal_syncs ≤ wal_records, compactions ≤
+        // delta_runs); see the isi_obs registry docs.
         let durable = fs.map(|fs| {
             let wal_syncs = obs.registry().counter("store_wal_syncs", &[]);
             let wal_records = obs.registry().counter("store_wal_records", &[]);
@@ -785,13 +711,11 @@ impl ShardedStore {
             .map(|si| {
                 let shard = si.to_string();
                 let labels = [("shard", shard.as_str())];
-                let bg_merges = obs.registry().counter("store_bg_merges", &labels);
                 let merges = obs.registry().counter("store_merges", &labels);
                 let compactions = obs.registry().counter("store_compactions", &labels);
                 let delta_runs = obs.registry().counter("store_delta_runs", &labels);
                 MergeCounters {
                     merges,
-                    bg_merges,
                     delta_runs,
                     compactions,
                 }
@@ -810,14 +734,17 @@ impl ShardedStore {
             obs,
             merge_counters,
         });
-        let merger = (merge_mode == MergeMode::Background).then(|| {
+        let merger = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("isi-merger".into())
                 .spawn(move || inner.merger_loop())
                 .expect("spawn merger thread")
-        });
-        Self { inner, merger }
+        };
+        Self {
+            inner,
+            merger: Some(merger),
+        }
     }
 
     /// The backend every shard's main uses.
@@ -891,16 +818,10 @@ impl ShardedStore {
             .sum()
     }
 
-    /// Merges performed since build, across all shards (both modes).
+    /// Merges the background merger performed since build, across
+    /// all shards.
     pub fn merges(&self) -> u64 {
         self.inner.obs.snapshot().counter_sum("store_merges")
-    }
-
-    /// Merges performed by the background merger thread (≤
-    /// [`merges`](Self::merges); the difference is foreground-mode
-    /// inline merges).
-    pub fn bg_merges(&self) -> u64 {
-        self.inner.obs.snapshot().counter_sum("store_bg_merges")
     }
 
     /// Delta runs published by the write path since build, across all
@@ -944,7 +865,9 @@ impl ShardedStore {
     /// merges re-triggering themselves) has been published. Writers
     /// racing `quiesce` can enqueue more work; this waits for the
     /// queue observed drain, which is the fixpoint once writers stop.
-    /// Returns immediately in foreground mode.
+    /// Called after every write, it makes the store's file-system
+    /// operation sequence deterministic (each merge finishes before
+    /// the next write starts).
     pub fn quiesce(&self) {
         let mut q = self.inner.merge_q.plock("merge queue");
         while !q.queue.is_empty() || q.in_flight {
@@ -964,9 +887,8 @@ impl ShardedStore {
     }
 
     /// Upsert `key = val`; returns the previously visible value
-    /// (last-write-wins). May enqueue (background) or perform
-    /// (foreground) a merge of the owning shard. A one-op
-    /// [`apply_write_run`](Self::apply_write_run).
+    /// (last-write-wins). May enqueue a merge of the owning shard. A
+    /// one-op [`apply_write_run`](Self::apply_write_run).
     pub fn put(&self, key: u64, val: u64) -> Option<u64> {
         let mut prevs = [None];
         self.write_shard_run(self.shard_of(key), &[(key, Some(val))], &[0], &mut prevs);
@@ -991,11 +913,10 @@ impl ShardedStore {
     /// commute; per-shard admission order is preserved). Each shard's
     /// sub-run holds the write lock once, sorts its ops into **one**
     /// immutable delta run (last-write-wins within the run), appends
-    /// **one** WAL record fsynced **once** ([`FsyncMode::Group`];
-    /// [`FsyncMode::On`] logs a record per op but still appends and
-    /// fsyncs once per run) and publishes **one** new version — when
-    /// this returns, every op in the run is durable and visible, so
-    /// callers may acknowledge the whole run.
+    /// **one** WAL record fsynced **once** ([`FsyncMode::Group`]) and
+    /// publishes **one** new version — when this returns, every op in
+    /// the run is durable and visible, so callers may acknowledge the
+    /// whole run.
     ///
     /// Allocates per-shard grouping buffers; dispatch loops should
     /// prefer [`apply_write_run_with`](Self::apply_write_run_with)
@@ -1039,11 +960,10 @@ impl ShardedStore {
 
     /// The shared write path: apply `ops[idxs]` (all routed to `si`)
     /// to the shard's delta and publish one new version. At
-    /// `merge_threshold` the run requests maintenance — a job for the
-    /// background merger, or an inline rebuild in foreground mode. In
-    /// background mode the run blocks only when the shard's delta has
-    /// hit the hard `max_delta` bound. With durability on, the run's
-    /// WAL record is appended and fsynced *before* the publish.
+    /// `merge_threshold` the run enqueues a job for the background
+    /// merger; it blocks only when the shard's delta has hit the hard
+    /// `max_delta` bound. With durability on, the run's WAL record is
+    /// appended and fsynced *before* the publish.
     fn write_shard_run(
         &self,
         si: usize,
@@ -1054,9 +974,7 @@ impl ShardedStore {
         let inner = &*self.inner;
         let shard = &inner.shards[si];
         let mut w = shard.write.plock("shard write state");
-        if inner.cfg.merge_mode == MergeMode::Background
-            && shard.version.load().delta.len() >= inner.cfg.max_delta
-        {
+        if shard.version.load().delta.len() >= inner.cfg.max_delta {
             // Hard bound: past max_delta this shard's writers wait for
             // the merger (which never needs this lock to make
             // progress... it does take it to publish, but we release
@@ -1124,12 +1042,8 @@ impl ShardedStore {
         // Replay is absolute upserts, so logging the deduped run is
         // state-equivalent to logging every op.
         if let Some(d) = &inner.durable {
-            if d.fsync == FsyncMode::On {
-                w.wal_seq = d.log_run_per_op(&inner.obs, si, w.wal_seq, &run);
-            } else {
-                w.wal_seq += 1;
-                d.log_run(&inner.obs, si, w.wal_seq, &run);
-            }
+            w.wal_seq += 1;
+            d.log_run(&inner.obs, si, w.wal_seq, &run);
         }
         let counters = &inner.merge_counters[si];
         // O(runs) `Arc` handle clones: prior runs are shared, never
@@ -1145,55 +1059,15 @@ impl ShardedStore {
             counters.compactions.inc();
         }
         let crossed = delta.len() >= inner.cfg.merge_threshold;
-        match inner.cfg.merge_mode {
-            MergeMode::Background => {
-                shard.version.store(Arc::new(ShardVersion {
-                    main: Arc::clone(&cur.main),
-                    delta,
-                }));
-                if crossed && !w.pending {
-                    w.pending = true;
-                    let mut q = inner.merge_q.plock("merge queue");
-                    q.queue.push_back(si);
-                    inner.merge_work.notify_one();
-                }
-            }
-            MergeMode::Foreground if crossed => {
-                // Inline merge: rebuild this shard's main from
-                // main+delta and publish (new main, empty delta) in
-                // one epoch swap. The shard write lock is held
-                // throughout, so only same-shard *writers* wait. The
-                // snapshot covers every record up to wal_seq, so the
-                // WAL truncates to empty.
-                let t0 = SpanTimer::start();
-                let folded = delta.len() as u64;
-                inner
-                    .obs
-                    .trace()
-                    .emit(si, TraceKind::MergeStart, t0.start_ns(), 0, folded, 0);
-                let merged = merge_pairs(&cur.main.pairs(), &delta.fold());
-                if let Some(d) = &inner.durable {
-                    let tmp = d.stage_snapshot(si, w.wal_seq, &merged);
-                    d.commit_and_truncate(si, w.wal_seq, &tmp, w.wal_seq, &[]);
-                }
-                shard.version.store(Arc::new(ShardVersion {
-                    main: cur.main.rebuild(&merged),
-                    delta: Delta::default(),
-                }));
-                let dur = t0.elapsed_ns();
-                counters.merges.inc();
-                inner.obs.record_stage(si, Stage::Merge, dur);
-                inner
-                    .obs
-                    .trace()
-                    .emit(si, TraceKind::MergePublish, t0.start_ns(), dur, folded, 0);
-            }
-            MergeMode::Foreground => {
-                shard.version.store(Arc::new(ShardVersion {
-                    main: Arc::clone(&cur.main),
-                    delta,
-                }));
-            }
+        shard.version.store(Arc::new(ShardVersion {
+            main: Arc::clone(&cur.main),
+            delta,
+        }));
+        if crossed && !w.pending {
+            w.pending = true;
+            let mut q = inner.merge_q.plock("merge queue");
+            q.queue.push_back(si);
+            inner.merge_work.notify_one();
         }
         match live_delta.cmp(&0) {
             std::cmp::Ordering::Greater => {
@@ -1459,10 +1333,7 @@ impl StoreInner {
             main,
             delta: Delta::from_sorted(residual),
         }));
-        // `merges` before `bg_merges`: with bg_merges registered
-        // first, every snapshot sees bg_merges ≤ merges.
         self.merge_counters[si].merges.inc();
-        self.merge_counters[si].bg_merges.inc();
         let dur = t0.elapsed_ns();
         self.obs.record_stage(si, Stage::Merge, dur);
         self.obs.trace().emit(
@@ -1581,17 +1452,6 @@ mod tests {
 
     fn pairs(n: u64) -> Vec<(u64, u64)> {
         (0..n).map(|i| (i * 3, i + 1000)).collect()
-    }
-
-    /// Both merge modes, for tests whose invariants hold in each.
-    const MODES: [MergeMode; 2] = [MergeMode::Background, MergeMode::Foreground];
-
-    fn cfg(threshold: usize, mode: MergeMode) -> StoreConfig {
-        let base = StoreConfig::with_threshold(threshold);
-        match mode {
-            MergeMode::Background => base,
-            MergeMode::Foreground => base.foreground(),
-        }
     }
 
     #[test]
@@ -1794,62 +1654,53 @@ mod tests {
     #[test]
     fn put_remove_agree_with_oracle_across_thresholds_and_modes() {
         // A deterministic mixed schedule over a small key space,
-        // checked op-by-op against a HashMap, across all backends,
-        // merge thresholds (including merge-every-write) and both
-        // merge modes. Visible state never depends on merge timing.
+        // checked op-by-op against a HashMap, across all backends and
+        // merge thresholds (including merge-every-write). Visible
+        // state never depends on merge timing.
         for backend in Backend::ALL {
             for threshold in [1usize, 4, 1 << 20] {
-                for mode in MODES {
-                    let store =
-                        ShardedStore::build_with(backend, 2, &pairs(300), cfg(threshold, mode));
-                    let mut oracle: HashMap<u64, u64> = pairs(300).into_iter().collect();
-                    for i in 0..1200u64 {
-                        let key = i * 17 % 1000;
-                        let tag = format!("{}/t{threshold}/{mode:?} i={i}", backend.name());
-                        match i % 5 {
-                            0 | 1 => {
-                                assert_eq!(store.put(key, i), oracle.insert(key, i), "{tag}");
-                            }
-                            2 => {
-                                assert_eq!(store.remove(key), oracle.remove(&key), "{tag}");
-                            }
-                            _ => {
-                                assert_eq!(store.get(key), oracle.get(&key).copied(), "{tag}");
-                            }
+                let store = ShardedStore::build_with(
+                    backend,
+                    2,
+                    &pairs(300),
+                    StoreConfig::with_threshold(threshold),
+                );
+                let mut oracle: HashMap<u64, u64> = pairs(300).into_iter().collect();
+                for i in 0..1200u64 {
+                    let key = i * 17 % 1000;
+                    let tag = format!("{}/t{threshold} i={i}", backend.name());
+                    match i % 5 {
+                        0 | 1 => {
+                            assert_eq!(store.put(key, i), oracle.insert(key, i), "{tag}");
                         }
-                        assert_eq!(store.len(), oracle.len(), "{tag}");
-                    }
-                    // Once quiesced, every shard's residual delta is
-                    // below the threshold.
-                    store.quiesce();
-                    assert!(store.delta_len() < threshold.max(1) * store.num_shards());
-                    if threshold == 1 {
-                        // Merge-every-write: the drained delta is
-                        // empty. Foreground merges synchronously, so
-                        // every effective write merged; background
-                        // merges coalesce but must have run.
-                        assert_eq!(store.delta_len(), 0);
-                        match mode {
-                            MergeMode::Foreground => {
-                                assert!(store.merges() >= 480, "merges={}", store.merges());
-                                assert_eq!(store.bg_merges(), 0);
-                            }
-                            MergeMode::Background => {
-                                assert!(store.merges() >= 1);
-                                assert_eq!(store.bg_merges(), store.merges());
-                            }
+                        2 => {
+                            assert_eq!(store.remove(key), oracle.remove(&key), "{tag}");
                         }
-                        assert_eq!(store.merge_latency().count(), store.merges());
-                        assert_eq!(store.merge_backlog(), 0);
+                        _ => {
+                            assert_eq!(store.get(key), oracle.get(&key).copied(), "{tag}");
+                        }
                     }
-                    // Full scan agreement after the schedule.
-                    for probe in 0..1000u64 {
-                        assert_eq!(store.get(probe), oracle.get(&probe).copied());
-                    }
-                    let mut want: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
-                    want.sort_unstable();
-                    assert_eq!(store.get_range(0, u64::MAX), want);
+                    assert_eq!(store.len(), oracle.len(), "{tag}");
                 }
+                // Once quiesced, every shard's residual delta is below
+                // the threshold.
+                store.quiesce();
+                assert!(store.delta_len() < threshold.max(1) * store.num_shards());
+                if threshold == 1 {
+                    // Merge-every-write: the drained delta is empty.
+                    // Merges coalesce but must have run.
+                    assert_eq!(store.delta_len(), 0);
+                    assert!(store.merges() >= 1);
+                    assert_eq!(store.merge_latency().count(), store.merges());
+                    assert_eq!(store.merge_backlog(), 0);
+                }
+                // Full scan agreement after the schedule.
+                for probe in 0..1000u64 {
+                    assert_eq!(store.get(probe), oracle.get(&probe).copied());
+                }
+                let mut want: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+                want.sort_unstable();
+                assert_eq!(store.get_range(0, u64::MAX), want);
             }
         }
     }
@@ -1961,9 +1812,7 @@ mod tests {
             Backend::Sorted,
             1,
             &pairs(10),
-            StoreConfig::with_threshold(1 << 20)
-                .with_max_runs(2)
-                .foreground(),
+            StoreConfig::with_threshold(1 << 20).with_max_runs(2),
         );
         assert_eq!(store.put(0, 1), Some(1000)); // run 1 overrides main
         assert_eq!(store.put(3, 2), Some(1001)); // run 2
@@ -1991,43 +1840,20 @@ mod tests {
     }
 
     #[test]
-    fn foreground_merges_swap_epochs_and_drain_the_delta() {
-        // Foreground mode keeps the old deterministic accounting:
-        // every write swaps the version, every 8th write merges
-        // inline.
-        let store = ShardedStore::build_with(
-            Backend::Csb,
-            1,
-            &pairs(100),
-            StoreConfig::with_threshold(8).foreground(),
-        );
-        assert_eq!(store.shard_epoch(0), 0);
-        for i in 0..64u64 {
-            store.put(10_000 + i, i);
-        }
-        assert_eq!(store.shard_epoch(0), 64);
-        assert_eq!(store.merges(), 8);
-        assert_eq!(store.bg_merges(), 0);
-        assert_eq!(store.delta_len(), 0);
-        assert_eq!(store.len(), 164);
-        for i in 0..64u64 {
-            assert_eq!(store.get(10_000 + i), Some(i));
-        }
-    }
-
-    #[test]
     fn background_merges_run_off_the_write_path_and_drain() {
         let store =
             ShardedStore::build_with(Backend::Csb, 1, &pairs(100), StoreConfig::with_threshold(8));
+        assert_eq!(store.shard_epoch(0), 0);
         for i in 0..64u64 {
             store.put(10_000 + i, i);
         }
         store.quiesce();
         // Coalescing makes the exact count timing-dependent, but the
         // merger must have run, drained the delta below the threshold,
-        // and left every write visible.
+        // and left every write visible. Every write and every merge
+        // swaps the version exactly once.
         assert!(store.merges() >= 1);
-        assert_eq!(store.bg_merges(), store.merges());
+        assert_eq!(store.shard_epoch(0), 64 + store.merges());
         assert!(store.delta_len() < 8, "delta={}", store.delta_len());
         assert_eq!(store.merge_backlog(), 0);
         assert_eq!(store.len(), 164);
@@ -2077,57 +1903,51 @@ mod tests {
         // readers hammer point gets and batch lookups. Reads must be
         // monotone for the hot key (versions publish in order) and
         // rock-stable for an untouched key — across merges, never torn.
-        // Background mode adds the merger thread as a second publisher
-        // racing the writer.
+        // The merger thread is a second publisher racing the writer.
         const N: u64 = 300;
         for backend in Backend::ALL {
-            for mode in MODES {
-                let store =
-                    ShardedStore::build_with(backend, 1, &[(2, 1_000_000), (4, 42)], cfg(1, mode));
-                std::thread::scope(|scope| {
-                    let writer = scope.spawn(|| {
-                        for v in 1_000_001..=1_000_000 + N {
-                            store.put(2, v);
+            let store = ShardedStore::build_with(
+                backend,
+                1,
+                &[(2, 1_000_000), (4, 42)],
+                StoreConfig::with_threshold(1),
+            );
+            std::thread::scope(|scope| {
+                let writer = scope.spawn(|| {
+                    for v in 1_000_001..=1_000_000 + N {
+                        store.put(2, v);
+                    }
+                });
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let mut scratch = LookupScratch::default();
+                        let mut out = [None, None];
+                        let mut last = 1_000_000u64;
+                        while last < 1_000_000 + N {
+                            let got = store.get(2).expect("hot key must always exist");
+                            assert!(got >= last, "hot key went backwards: {got} < {last}");
+                            last = got;
+                            store.lookup_batch(
+                                0,
+                                &[2, 4],
+                                Interleave::from_group(4),
+                                ParConfig::with_threads(1),
+                                &mut scratch,
+                                &mut out,
+                            );
+                            let batch_hot = out[0].expect("hot key must always exist");
+                            assert!(batch_hot >= last, "batch read went backwards");
+                            assert_eq!(out[1], Some(42), "cold key must never move");
+                            last = last.max(batch_hot);
                         }
                     });
-                    for _ in 0..2 {
-                        scope.spawn(|| {
-                            let mut scratch = LookupScratch::default();
-                            let mut out = [None, None];
-                            let mut last = 1_000_000u64;
-                            while last < 1_000_000 + N {
-                                let got = store.get(2).expect("hot key must always exist");
-                                assert!(got >= last, "hot key went backwards: {got} < {last}");
-                                last = got;
-                                store.lookup_batch(
-                                    0,
-                                    &[2, 4],
-                                    Interleave::from_group(4),
-                                    ParConfig::with_threads(1),
-                                    &mut scratch,
-                                    &mut out,
-                                );
-                                let batch_hot = out[0].expect("hot key must always exist");
-                                assert!(batch_hot >= last, "batch read went backwards");
-                                assert_eq!(out[1], Some(42), "cold key must never move");
-                                last = last.max(batch_hot);
-                            }
-                        });
-                    }
-                    writer.join().unwrap();
-                });
-                store.quiesce();
-                assert_eq!(store.get(2), Some(1_000_000 + N));
-                match mode {
-                    MergeMode::Foreground => {
-                        assert_eq!(store.merges(), N, "{}", backend.name());
-                    }
-                    MergeMode::Background => {
-                        assert!(store.merges() >= 1, "{}", backend.name());
-                        assert_eq!(store.delta_len(), 0);
-                    }
                 }
-            }
+                writer.join().unwrap();
+            });
+            store.quiesce();
+            assert_eq!(store.get(2), Some(1_000_000 + N));
+            assert!(store.merges() >= 1, "{}", backend.name());
+            assert_eq!(store.delta_len(), 0);
         }
     }
 

@@ -8,26 +8,43 @@
 //! `vec![Vec::new(); num_shards]` in `apply_write_run`). This test
 //! pins both with a counting global allocator: per-run allocations
 //! are bounded by a small constant and do not grow as the delta
-//! accumulates hundreds of runs.
+//! accumulates hundreds of runs. Only the calling thread is counted:
+//! the write path under test is synchronous, while the store's merger
+//! thread and the test harness's threads allocate on their own.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use isi_serve::{Backend, ShardedStore, StoreConfig, WriteScratch};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set only on the thread inside [`count_allocs`]: everything the
+    /// counted sections exercise runs on the calling thread, and the
+    /// merger thread and the test harness's own threads must not be
+    /// charged to it.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Is the allocating thread inside a counted section? A const,
+/// drop-free thread local, so the check itself never allocates.
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 // SAFETY: pure pass-through to the `System` allocator (which upholds
-// the GlobalAlloc contract); the only addition is a relaxed counter
-// bump, which allocates nothing and cannot unwind.
+// the GlobalAlloc contract); the only additions are a const
+// thread-local read and a relaxed counter bump, which allocate
+// nothing and cannot unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: same contract as ours; layout is forwarded verbatim.
@@ -39,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: `ptr`/`layout` came from our pass-through `alloc`;
@@ -58,9 +75,9 @@ static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// Count allocations during `f`.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     let r = f();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     (ALLOCS.load(Ordering::SeqCst), r)
 }
 
@@ -103,12 +120,9 @@ fn run_block(
 #[test]
 fn write_runs_allocate_a_small_constant() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Foreground mode: no background merger thread to race the global
-    // allocation counter. The huge threshold and unbounded run stack
-    // mean no merges and no folds — pure run-publish cost.
-    let cfg = StoreConfig::with_threshold(1 << 20)
-        .with_max_runs(usize::MAX)
-        .foreground();
+    // The huge threshold and unbounded run stack mean no merges and no
+    // folds — pure run-publish cost.
+    let cfg = StoreConfig::with_threshold(1 << 20).with_max_runs(usize::MAX);
     let store = ShardedStore::build_with(Backend::Sorted, 1, &[], cfg);
     let mut scratch = WriteScratch::default();
     let mut prevs = Vec::new();
@@ -146,9 +160,7 @@ fn write_runs_allocate_a_small_constant() {
 #[test]
 fn grouping_scratch_is_reused_across_shards() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = StoreConfig::with_threshold(1 << 20)
-        .with_max_runs(usize::MAX)
-        .foreground();
+    let cfg = StoreConfig::with_threshold(1 << 20).with_max_runs(usize::MAX);
     let store = ShardedStore::build_with(Backend::Sorted, 8, &[], cfg);
     let mut scratch = WriteScratch::default();
     let mut prevs = Vec::new();

@@ -17,10 +17,12 @@
 //!
 //! Three angles:
 //!
-//! * a deterministic **fault matrix** — one fixed schedule, killed at
-//!   *every* file-system operation index × tear/bit-flip variants;
+//! * a deterministic **fault matrix** — one fixed schedule, settled
+//!   after every run so each merge finishes before the next write,
+//!   killed at *every* file-system operation index × tear/bit-flip
+//!   variants (plus a sampled variant racing the merger);
 //! * a **proptest** over random schedules, kill points, fsync modes
-//!   and fault plans;
+//!   and fault plans, with merges racing the writes;
 //! * a **real-directory round trip** (DiskFs) covering clean shutdown
 //!   and recovery-then-serve through a live `LookupService`.
 
@@ -30,7 +32,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use isi_durable::{FaultFs, FaultPlan, Fs, FsyncMode, MemFs};
-use isi_serve::{Backend, LookupService, MergeMode, ServeConfig, ShardedStore, StoreConfig};
+use isi_serve::{Backend, LookupService, ServeConfig, ShardedStore, StoreConfig};
 
 const SHARDS: usize = 2;
 
@@ -38,11 +40,10 @@ const SHARDS: usize = 2;
 /// `apply_write_run` call (the group-commit unit).
 type Schedule = Vec<Vec<(u64, Option<u64>)>>;
 
-fn store_cfg(fsync: FsyncMode, mode: MergeMode) -> StoreConfig {
+fn store_cfg(fsync: FsyncMode) -> StoreConfig {
     StoreConfig {
         merge_threshold: 4,
         max_delta: 16,
-        merge_mode: mode,
         // A tiny stack bound keeps crash images exercising run-stack
         // folds between the kill points.
         max_runs: 2,
@@ -53,13 +54,17 @@ fn store_cfg(fsync: FsyncMode, mode: MergeMode) -> StoreConfig {
 
 /// Run `schedule` against a fresh durable store on `fault`, returning
 /// how many runs were acknowledged (returned) strictly before the
-/// kill point was reached. The store is dropped un-cleanly ignored —
+/// kill point was reached. With `settle`, the store is quiesced after
+/// every run, so each triggered merge finishes before the next write
+/// starts and the fs-op sequence is deterministic; without it, the
+/// merger races the writes. The store is dropped un-cleanly ignored —
 /// the crash image was already captured.
 fn run_until_crash(
     fault: &Arc<FaultFs>,
     seed: &[(u64, u64)],
     cfg: StoreConfig,
     schedule: &Schedule,
+    settle: bool,
 ) -> usize {
     let fs: Arc<dyn Fs> = Arc::clone(fault) as Arc<dyn Fs>;
     let store = ShardedStore::build_with_fs(Backend::Sorted, SHARDS, seed, cfg, fs);
@@ -69,6 +74,9 @@ fn run_until_crash(
         store.apply_write_run(run, &mut prevs);
         if !fault.killed() {
             acked += 1;
+        }
+        if settle {
+            store.quiesce();
         }
     }
     store.quiesce();
@@ -200,19 +208,21 @@ fn recover_and_check(
     Ok(())
 }
 
-/// One end-to-end crash case: run `schedule` with `plan` armed, crash
-/// (at the kill point, or at end-of-run power loss if the kill point
-/// was never reached), recover, check.
+/// One end-to-end crash case: run `schedule` with `plan` armed
+/// (`settle` as in [`run_until_crash`]), crash (at the kill point, or
+/// at end-of-run power loss if the kill point was never reached),
+/// recover, check. Returns the fs operations the live run performed.
 fn crash_case(
     seed: &[(u64, u64)],
     fsync: FsyncMode,
-    mode: MergeMode,
+    settle: bool,
     schedule: &Schedule,
     plan: FaultPlan,
-) -> Result<(), String> {
+) -> Result<u64, String> {
     let fault = Arc::new(FaultFs::new(plan));
-    let cfg = store_cfg(fsync, mode);
-    let acked = run_until_crash(&fault, seed, cfg.clone(), schedule);
+    let cfg = store_cfg(fsync);
+    let acked = run_until_crash(&fault, seed, cfg.clone(), schedule, settle);
+    let ops = fault.ops_done();
     let (image, acked) = match fault.take_crash_image() {
         Some(image) => (image, acked),
         // Kill point past the schedule: pull the plug after the final
@@ -220,7 +230,8 @@ fn crash_case(
         None => (fault.crash_now(), schedule.len()),
     };
     let fsync_honored = fsync != FsyncMode::Off && !plan.drop_syncs;
-    recover_and_check(image, seed, cfg, schedule, acked, fsync_honored)
+    recover_and_check(image, seed, cfg, schedule, acked, fsync_honored)?;
+    Ok(ops)
 }
 
 fn fixed_seed() -> Vec<(u64, u64)> {
@@ -247,24 +258,26 @@ fn fixed_schedule() -> Schedule {
     runs
 }
 
-/// Count the file-system operations the fixed schedule performs, so
-/// the matrix can kill at every single one.
-fn fixed_schedule_ops(fsync: FsyncMode, mode: MergeMode) -> u64 {
+/// Count the file-system operations the fixed schedule performs when
+/// settled after every run, so the matrix can kill at every one.
+fn fixed_schedule_ops(fsync: FsyncMode) -> u64 {
     let fault = Arc::new(FaultFs::new(FaultPlan::default()));
     let seed = fixed_seed();
-    run_until_crash(&fault, &seed, store_cfg(fsync, mode), &fixed_schedule());
+    run_until_crash(&fault, &seed, store_cfg(fsync), &fixed_schedule(), true);
     fault.ops_done()
 }
 
-/// Deterministic fault matrix: the fixed schedule killed at **every**
-/// fs-operation index, for the interesting tear variants. Covers each
-/// protocol point — mid-append, between append and fsync, between
-/// snapshot rename and WAL rewrite, mid-init — without sampling.
+/// Deterministic fault matrix: the fixed schedule, settled after every
+/// run, killed at **every** fs-operation index, for the interesting
+/// tear variants. Covers each protocol point — mid-append, between
+/// append and fsync, between snapshot staging, rename and the
+/// residual WAL rewrite, mid-init — without sampling. Every case must
+/// perform the same op count, or the kill indices would not line up.
 #[test]
-fn kill_at_every_protocol_point_foreground() {
+fn kill_at_every_protocol_point() {
     let seed = fixed_seed();
     let schedule = fixed_schedule();
-    let total = fixed_schedule_ops(FsyncMode::Group, MergeMode::Foreground);
+    let total = fixed_schedule_ops(FsyncMode::Group);
     assert!(total > 50, "schedule too small to be interesting: {total}");
     for kill in 0..total {
         for (tear, flip) in [(0u8, false), (4, false), (4, true), (8, false)] {
@@ -274,34 +287,13 @@ fn kill_at_every_protocol_point_foreground() {
                 tear_keep_eighths: tear,
                 flip_torn_bit: flip,
             };
-            crash_case(
-                &seed,
-                FsyncMode::Group,
-                MergeMode::Foreground,
-                &schedule,
-                plan,
-            )
-            .unwrap_or_else(|e| panic!("kill@{kill} tear={tear} flip={flip}: {e}"));
+            let ops = crash_case(&seed, FsyncMode::Group, true, &schedule, plan)
+                .unwrap_or_else(|e| panic!("kill@{kill} tear={tear} flip={flip}: {e}"));
+            assert_eq!(
+                ops, total,
+                "kill@{kill} tear={tear} flip={flip}: fs-op sequence is not deterministic"
+            );
         }
-    }
-}
-
-/// The same matrix with per-op fsyncs (`FsyncMode::On`) — different
-/// op counts, different kill alignments, every acked op durable.
-#[test]
-fn kill_at_every_protocol_point_fsync_per_op() {
-    let seed = fixed_seed();
-    let schedule = fixed_schedule();
-    let total = fixed_schedule_ops(FsyncMode::On, MergeMode::Foreground);
-    for kill in (0..total).step_by(3) {
-        let plan = FaultPlan {
-            kill_at_op: Some(kill),
-            drop_syncs: false,
-            tear_keep_eighths: 2,
-            flip_torn_bit: true,
-        };
-        crash_case(&seed, FsyncMode::On, MergeMode::Foreground, &schedule, plan)
-            .unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
     }
 }
 
@@ -311,7 +303,7 @@ fn kill_at_every_protocol_point_fsync_per_op() {
 fn dropped_fsyncs_still_recover_a_consistent_prefix() {
     let seed = fixed_seed();
     let schedule = fixed_schedule();
-    let total = fixed_schedule_ops(FsyncMode::Group, MergeMode::Foreground);
+    let total = fixed_schedule_ops(FsyncMode::Group);
     for kill in (0..total).step_by(5) {
         let plan = FaultPlan {
             kill_at_op: Some(kill),
@@ -319,20 +311,14 @@ fn dropped_fsyncs_still_recover_a_consistent_prefix() {
             tear_keep_eighths: 3,
             flip_torn_bit: true,
         };
-        crash_case(
-            &seed,
-            FsyncMode::Group,
-            MergeMode::Foreground,
-            &schedule,
-            plan,
-        )
-        .unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
+        crash_case(&seed, FsyncMode::Group, true, &schedule, plan)
+            .unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
     }
 }
 
-/// Background-merge mode: the merger thread's snapshot/truncate ops
-/// interleave with write-path appends, so kill points land inside the
-/// concurrent protocol too. (Kill indices are sampled; exact op
+/// Unsettled background merges: the merger thread's snapshot/truncate
+/// ops interleave with write-path appends, so kill points land inside
+/// the concurrent protocol too. (Kill indices are sampled; exact op
 /// counts vary run to run with merge timing.)
 #[test]
 fn kill_points_with_background_merges() {
@@ -345,14 +331,8 @@ fn kill_points_with_background_merges() {
             tear_keep_eighths: 4,
             flip_torn_bit: false,
         };
-        crash_case(
-            &seed,
-            FsyncMode::Group,
-            MergeMode::Background,
-            &schedule,
-            plan,
-        )
-        .unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
+        crash_case(&seed, FsyncMode::Group, false, &schedule, plan)
+            .unwrap_or_else(|e| panic!("kill@{kill}: {e}"));
     }
 }
 
@@ -382,19 +362,17 @@ proptest! {
         tear in 0u8..=8,
         flip in prop_oneof![Just(false), Just(true)],
         drop_syncs in prop_oneof![Just(false), Just(true)],
-        mode_fg in prop_oneof![Just(false), Just(true)],
-        fsync_pick in 0u8..3,
+        fsync_pick in 0u8..2,
     ) {
         let seed = fixed_seed();
         let fsync = FsyncMode::ALL[fsync_pick as usize];
-        let mode = if mode_fg { MergeMode::Foreground } else { MergeMode::Background };
         let plan = FaultPlan {
             kill_at_op: Some(kill),
             drop_syncs,
             tear_keep_eighths: tear,
             flip_torn_bit: flip,
         };
-        if let Err(e) = crash_case(&seed, fsync, mode, &schedule, plan) {
+        if let Err(e) = crash_case(&seed, fsync, false, &schedule, plan) {
             prop_assert!(false, "{e}");
         }
     }
@@ -461,103 +439,37 @@ fn disk_roundtrip_through_the_service() {
 }
 
 /// Durable group commit through the service: a burst of writes from
-/// concurrent clients lands in far fewer fsyncs than records under
-/// `FsyncMode::Group` (that is the point), while `FsyncMode::On`
-/// keeps one record per op but still fsyncs once per write run.
+/// concurrent clients lands in far fewer WAL records than ops, and
+/// never more fsyncs than records.
 #[test]
 fn group_commit_amortizes_fsyncs_through_the_service() {
-    for (fsync, expect_amortized) in [(FsyncMode::Group, true), (FsyncMode::On, false)] {
-        let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
-        let store = ShardedStore::build_with_fs(
-            Backend::Sorted,
-            1,
-            &[],
-            store_cfg(fsync, MergeMode::Background),
-            fs,
-        );
-        let svc = LookupService::start(
-            store,
-            ServeConfig {
-                max_batch: 64,
-                ..ServeConfig::default()
-            },
-        );
-        std::thread::scope(|scope| {
-            for c in 0..4u64 {
-                let svc = &svc;
-                scope.spawn(move || {
-                    for i in 0..64u64 {
-                        svc.put(c * 1000 + i, i);
-                    }
-                });
-            }
-        });
-        let (records, syncs) = svc.store().wal_stats();
-        if expect_amortized {
-            // Group commit: concurrent writers coalesce into shared
-            // records; at minimum the accounting holds, and with 4
-            // concurrent clients batching must beat one-sync-per-op.
-            assert!(syncs <= records);
-            assert!(
-                records < 256,
-                "4×64 puts should coalesce into fewer records, got {records}"
-            );
-        } else {
-            assert_eq!(records, 256, "FsyncMode::On is one record per op");
-            // One fsync per effective write run, not per record: the
-            // per-op records of a run are encoded in one pass and hit
-            // the disk together.
-            assert!(syncs <= records);
-            assert_eq!(
-                syncs,
-                svc.store().delta_runs(),
-                "FsyncMode::On is one fsync per published run"
-            );
-        }
-    }
-}
-
-/// `FsyncMode::On` accounting on multi-op runs applied directly to
-/// the store: one WAL record per **effective** op (elided ops are
-/// never logged), one fsync per shard sub-run — and the per-op
-/// records recover exactly like one grouped record.
-#[test]
-fn fsync_on_logs_one_record_per_effective_op() {
-    let fs = Arc::new(MemFs::new());
-    let store = ShardedStore::build_with_fs(
-        Backend::Sorted,
-        1,
-        &[],
-        StoreConfig::with_threshold(1 << 20).durable("ignored", FsyncMode::On),
-        Arc::clone(&fs) as Arc<dyn Fs>,
+    let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+    let store =
+        ShardedStore::build_with_fs(Backend::Sorted, 1, &[], store_cfg(FsyncMode::Group), fs);
+    let svc = LookupService::start(
+        store,
+        ServeConfig {
+            max_batch: 64,
+            ..ServeConfig::default()
+        },
     );
-    let mut prevs = Vec::new();
-    let mut effective = 0u64;
-    for run in 0..16u64 {
-        // 8 ops per run: 7 distinct puts plus one remove of a key
-        // that is nowhere — the remove is elided, the rest count.
-        let mut ops: Vec<(u64, Option<u64>)> = (0..7)
-            .map(|i| (run * 16 + i, Some(run * 100 + i)))
-            .collect();
-        ops.push((900_000 + run, None));
-        store.apply_write_run(&ops, &mut prevs);
-        effective += 7;
-    }
-    let (records, syncs) = store.wal_stats();
-    assert_eq!(records, effective, "one record per effective op");
-    assert_eq!(syncs, store.delta_runs(), "one fsync per published run");
-    assert_eq!(syncs, 16);
-    drop(store);
-    let recovered = ShardedStore::recover_with_fs(
-        Backend::Sorted,
-        StoreConfig::with_threshold(1 << 20).durable("ignored", FsyncMode::On),
-        fs,
-    )
-    .expect("recover");
-    for run in 0..16u64 {
-        for i in 0..7 {
-            assert_eq!(recovered.get(run * 16 + i), Some(run * 100 + i));
+    std::thread::scope(|scope| {
+        for c in 0..4u64 {
+            let svc = &svc;
+            scope.spawn(move || {
+                for i in 0..64u64 {
+                    svc.put(c * 1000 + i, i);
+                }
+            });
         }
-    }
-    assert_eq!(recovered.len(), 16 * 7);
+    });
+    let (records, syncs) = svc.store().wal_stats();
+    // Group commit: concurrent writers coalesce into shared records;
+    // at minimum the accounting holds, and with 4 concurrent clients
+    // batching must beat one-sync-per-op.
+    assert!(syncs <= records);
+    assert!(
+        records < 256,
+        "4×64 puts should coalesce into fewer records, got {records}"
+    );
 }

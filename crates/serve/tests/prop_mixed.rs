@@ -163,7 +163,6 @@ proptest! {
                             if puts > 0 {
                                 prop_assert!(stats.merges >= 1);
                             }
-                            prop_assert_eq!(stats.bg_merges, stats.merges);
                         }
                         prop_assert_eq!(stats.merge_latency.count(), stats.merges);
                         // Run-stack accounting: every fold needed a
