@@ -46,14 +46,6 @@ impl Json {
         }
     }
 
-    /// The value as bool, if a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as &str, if a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -1,6 +1,8 @@
 //! # isi-bench — harnesses that regenerate every table and figure
 //!
-//! One binary per paper artifact (see `DESIGN.md` for the full index):
+//! One binary per paper artifact. The README's "Paper figure / table
+//! binaries" table is the full index, including the §6 extensions not
+//! listed here:
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -18,7 +20,6 @@
 //! | `hash_join` | §6 extension — interleaved hash-join probe |
 //! | `tlb_index` | §6 extension — B+-tree over sorted array vs TLB-thrashing binary search |
 //! | `throughput` | morsel-parallel lookup throughput sweep → `BENCH_throughput.json` ([`throughput`] module) |
-//! | `serve` | admission-batched lookup-service load sweep → `BENCH_serve.json` ([`serve`] module) |
 //!
 //! Environment knobs (all optional): `ISI_MAX_MB` (top of the size sweep,
 //! default 256), `ISI_LOOKUPS` (lookup-list length, default 10000),
@@ -28,7 +29,6 @@
 pub mod json;
 pub mod loc;
 pub mod schema;
-pub mod serve;
 pub mod sim;
 pub mod throughput;
 pub mod wall;

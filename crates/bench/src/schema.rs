@@ -6,8 +6,8 @@
 //! spell the tag themselves, a version bump in one silently orphans
 //! the other. `xtask lint` (rule `schema-registry`) therefore rejects
 //! tag literals anywhere else in the tree — harnesses import these
-//! constants (directly or through the re-exports in [`crate::serve`]
-//! and [`crate::throughput`]).
+//! constants (directly or through the re-export in
+//! [`crate::throughput`]).
 //!
 //! Bumping a version is an API change to every consumer of the JSON
 //! files: bump the constant here, and grep for the old tag in
@@ -16,53 +16,25 @@
 /// `BENCH_throughput.json` — morsel-parallel lookup throughput sweep.
 pub const THROUGHPUT: &str = "isi-throughput/v1";
 
-/// `BENCH_serve.json` — admission-batched lookup-service load sweep
-/// (v2 replaced the flush-policy axis with a batch-cap axis when the
-/// dispatcher became work-conserving: `config.max_batches` replaces
-/// `config.policies`, and cells drop their flush-deadline column).
-pub const SERVE: &str = "isi-serve/v2";
-
-/// `BENCH_serve_mixed.json` — mixed read/write sweep (v2 added the
-/// per-policy merge/cache columns; v3 added the durability columns:
-/// WAL mode, fsync mode, record/sync counts, recovery time; v4 added
-/// the observability columns: `config.obs`, per-cell end-to-end
-/// latency sums, per-shard per-stage latency rows and the
-/// chrome-trace event count; v5 added the merge-threshold sweep axis
-/// — `config.merge_thresholds` replaces the scalar
-/// `config.merge_threshold`, each cell records its `merge_threshold`
-/// — plus the run-stack columns `runs` (immutable delta runs
-/// published) and `compactions` (stack folds past `max_runs`); v6
-/// added the adaptive-dispatch axis — `config.adapts` (policy modes
-/// swept) and `config.retune_interval`, each cell records its `adapt`
-/// mode plus the `retunes` counter and per-shard `final_groups`; v7
-/// removed that axis and its columns again, together with adaptive
-/// dispatch itself; v8 replaced the `config.policy` object with the
-/// scalar `config.max_batch` when the flush deadline was deleted; v9
-/// dropped the merge-mode config flag and the per-cell
-/// background-merge count when foreground merges were deleted — every
-/// merge now runs on the background merger).
-pub const SERVE_MIXED: &str = "isi-serve-mixed/v9";
-
 #[cfg(test)]
 mod tests {
     /// The registry is the schema's format contract; keep the tags
     /// well-formed so verifiers can dispatch on `name/version`.
     #[test]
     fn tags_are_well_formed() {
-        for tag in [super::THROUGHPUT, super::SERVE, super::SERVE_MIXED] {
-            let (name, version) = tag.split_once('/').expect("tag has a /version suffix");
-            assert!(name.starts_with("isi-"), "{tag}: registry namespace");
-            assert!(
-                name.bytes()
-                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-'),
-                "{tag}: kebab-case name"
-            );
-            assert!(
-                version
-                    .strip_prefix('v')
-                    .is_some_and(|v| v.parse::<u32>().is_ok()),
-                "{tag}: vN version"
-            );
-        }
+        let tag = super::THROUGHPUT;
+        let (name, version) = tag.split_once('/').expect("tag has a /version suffix");
+        assert!(name.starts_with("isi-"), "{tag}: registry namespace");
+        assert!(
+            name.bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-'),
+            "{tag}: kebab-case name"
+        );
+        assert!(
+            version
+                .strip_prefix('v')
+                .is_some_and(|v| v.parse::<u32>().is_ok()),
+            "{tag}: vN version"
+        );
     }
 }

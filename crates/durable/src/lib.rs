@@ -68,33 +68,6 @@ pub enum FsyncMode {
 }
 
 impl FsyncMode {
-    /// All modes, in sweep order.
+    /// All modes.
     pub const ALL: [FsyncMode; 2] = [FsyncMode::Off, FsyncMode::Group];
-
-    /// Stable lowercase name (used in benchmark documents and CLI
-    /// flags).
-    pub fn name(self) -> &'static str {
-        match self {
-            FsyncMode::Off => "off",
-            FsyncMode::Group => "group",
-        }
-    }
-
-    /// Parse a [`Self::name`] back into a mode.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|m| m.name() == name)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fsync_mode_names_roundtrip() {
-        for m in FsyncMode::ALL {
-            assert_eq!(FsyncMode::from_name(m.name()), Some(m));
-        }
-        assert_eq!(FsyncMode::from_name("sometimes"), None);
-    }
 }

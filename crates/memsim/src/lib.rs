@@ -4,7 +4,8 @@
 //! relies on Intel VTune reading hardware performance counters on a
 //! Haswell Xeon. Those counters are neither portable nor available in
 //! virtualized environments, so this crate substitutes a deterministic
-//! software model of the same machine (see `DESIGN.md`, substitution 2):
+//! software model of the same machine (the README's "Paper figure /
+//! table binaries" table marks the binaries that run on it):
 //!
 //! * set-associative L1D / L2 / L3 data caches with true-LRU replacement,
 //! * 10 line-fill buffers tracking in-flight misses — software prefetches

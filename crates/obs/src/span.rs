@@ -3,10 +3,9 @@
 //! Every batch that flows through the service crosses a fixed set of
 //! pipeline stages (admission queue → plan → engine → writeback →
 //! commit, with WAL and merge work hanging off the write side). The
-//! [`Stage`] enum names them once, so the store, the service, the
-//! bench renderer, and the schema verifier all agree on the same
-//! spelling — a typo'd stage string cannot silently create an
-//! extra histogram.
+//! [`Stage`] enum names them once, so the store, the service and the
+//! metric and trace exporters all agree on the same spelling — a
+//! typo'd stage string cannot silently create an extra histogram.
 //!
 //! [`SpanTimer`] is deliberately thin: capture a start timestamp,
 //! subtract later. The timestamp comes from [`now_ns`], a monotonic
@@ -91,8 +90,7 @@ impl Stage {
         }
     }
 
-    /// Inverse of [`Stage::name`] (used by the bench verifier to
-    /// check exported rows against the canonical set).
+    /// Inverse of [`Stage::name`].
     pub fn from_name(name: &str) -> Option<Stage> {
         Stage::ALL.into_iter().find(|s| s.name() == name)
     }

@@ -1109,7 +1109,7 @@ mod tests {
         // every drain at max_batch without ever waiting for one to
         // fill.
         let store = ShardedStore::build(Backend::Hash, 1, &pairs(2000));
-        let svc = LookupService::start(
+        let mut svc = LookupService::start(
             store,
             ServeConfig {
                 max_batch: 4,
@@ -1128,6 +1128,9 @@ mod tests {
                 });
             }
         });
+        // A batch's `BatchFlush` event is emitted after its tickets
+        // resolve: join the dispatchers before counting events.
+        svc.close();
         let stats = svc.stats();
         assert_eq!(stats.requests, 8 * 32);
         assert_eq!(stats.full_flushes + stats.timeout_flushes, stats.batches);

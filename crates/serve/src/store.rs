@@ -97,11 +97,6 @@ impl Backend {
         }
     }
 
-    /// Parse a [`Self::name`] back into a backend.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|b| b.name() == name)
-    }
-
     /// Build one shard's main from strictly-sorted, duplicate-free
     /// pairs. This is the only place the backend choice is matched on;
     /// everything after construction dispatches through the
@@ -1599,14 +1594,6 @@ mod tests {
             assert_eq!(outcome.engine, RunStats::default());
             assert_eq!(store.get_range(0, u64::MAX), Vec::new());
         }
-    }
-
-    #[test]
-    fn backend_names_roundtrip() {
-        for b in Backend::ALL {
-            assert_eq!(Backend::from_name(b.name()), Some(b));
-        }
-        assert_eq!(Backend::from_name("nope"), None);
     }
 
     #[test]

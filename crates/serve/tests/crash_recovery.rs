@@ -386,9 +386,8 @@ proptest! {
 fn disk_roundtrip_through_the_service() {
     for fsync in FsyncMode::ALL {
         let dir = std::env::temp_dir().join(format!(
-            "isi-crash-recovery-{}-{}",
-            std::process::id(),
-            fsync.name()
+            "isi-crash-recovery-{}-{fsync:?}",
+            std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = StoreConfig {
@@ -423,7 +422,7 @@ fn disk_roundtrip_through_the_service() {
         assert_eq!(recovered.get(0), None);
         assert_eq!(recovered.get(3), Some(777));
         for i in 0..50u64 {
-            assert_eq!(recovered.get(1000 + i), Some(i), "fsync={}", fsync.name());
+            assert_eq!(recovered.get(1000 + i), Some(i), "fsync={fsync:?}");
         }
         // 100 seeded + 50 fresh puts − removed key 0 (the put of 3
         // overwrites a seeded key).
